@@ -3,19 +3,23 @@
 The earlier perf PRs attacked *machinery* speed (serialization, MACs, the
 event kernel); this one attacks *protocol* throughput: a primary with
 ``PipelineConfig.depth = k`` runs consensus on up to k sequence numbers
-concurrently and sizes batches adaptively from its pending queue, so WAN
-round-trips overlap instead of serialising.  Three checks, all measured:
+concurrently, every proposer goes through one admission point, and a slot is
+free again at local commit, so WAN round-trips overlap instead of
+serialising.  Four checks, all measured:
 
 * **sweep** -- a figure-8-style cross-shard workload on the simulator at
   k in {1, 2, 4, 8}; the headline is protocol throughput at k=4 over the
-  classic k=1 (gate: >= 1.5x).  The closed loop is latency-bound, so any
-  k >= 2 must also hold the recorded 406.4 tps plateau (no regression).
+  classic k=1.  The closed loop is latency-bound (arrivals too slow to fill
+  a batch, so the pump ships eagerly), hence every k >= 2 must clear the
+  same >= 1.5x gate and hold the eager pump's recorded plateau (no
+  regression), read as the mean over a fixed seed panel because one
+  closed-loop run is a chaotic reading.
 * **open loop** -- Poisson arrivals at fixed offered rates against the same
-  topology (rate-shaped pump engaged: ``sustain_threshold`` exceeded, slots
-  deferred through cross-shard rotations).  ``depth`` bounds the concurrent
-  cross-shard rotations per primary, so sustained throughput must climb
-  with k; the CI gate is k=4 >= 1.15x k=2 at the saturating rate, with
-  shaped batches averaging >= 2 requests (no one-request crumbs).
+  topology (arrivals fill a batch inside ``target_queue_delay``, so only
+  full batches and timer flushes go out).  Every depth >= 2 must carry the
+  offered load at the saturating rate (>= 0.98x), with batches averaging
+  >= 0.75x ``max_batch`` (no crumbs) and ``peak_open_slots <= depth`` (the
+  window is a bound for Forward-driven proposals too).
 * **identity** -- k=1 must reproduce the pre-PR behaviour *byte-identically*:
   the run is replayed with the exact parameters recorded in
   ``baselines/pipeline_k1_chains.json`` and every block hash of every shard
@@ -32,11 +36,9 @@ The open-loop sweep isolates pipeline capacity from unrelated ceilings: it
 uses a large key space (no artificial lock contention at saturation depth)
 and fault timers well above the injection horizon (a saturated queue must
 not read as a faulty primary -- view-change churn is a correctness topic,
-measured elsewhere).  Depth=1 runs the legacy propose-on-fill path with
-*unbounded* cross-shard speculation (every rotation in flight at once, no
-window to bound it), which is exactly the discipline problem the proposal
-window exists to fix; its open-loop numbers are reported as the undisciplined
-baseline, not gated.
+measured elsewhere).  Depth=1 runs the legacy propose-on-fill path (no
+window, batches up to the replica's ``batch_size``); its open-loop numbers
+are reported as the reference column, not gated.
 """
 
 from __future__ import annotations
@@ -72,36 +74,46 @@ DEFAULTS = dict(
 
 SMOKE_OVERRIDES = dict(depths=(1, 4))
 
-#: Required protocol-throughput ratio of k=4 over k=1 (the CI gate).
+#: Required closed-loop protocol-throughput ratio of every k >= 2 over k=1
+#: (the CI gate; k=4 is the headline).
 SPEEDUP_GATE = 1.5
 
-#: Closed-loop plateau recorded before the rate-shaped pump landed; any
-#: pipelined depth must still reach it (the shaped pump's fallback regime is
-#: byte-for-byte the proven eager pump, so this is an identity in disguise).
-CLOSED_LOOP_FLOOR_TPS = 406.4
+#: Seeds of the closed-loop no-regression panel.  One closed-loop run is a
+#: chaotic reading: the shared generator hands the next transaction to
+#: whichever client completes first, so a forwarded batch that waits one local
+#: round (~1 ms) for a window slot re-deals the rest of the workload.  The same
+#: code spreads over 347-429 tps across seeds; paired per-seed differences
+#: against the unbounded window are +-4 % with no sign (38 seeds: +0.6 %,
+#: -0.1 %, -0.0 % at k=2/4/8).  An 8-seed mean resolves about 1 %.
+CLOSED_LOOP_PANEL_SEEDS = tuple(range(2022, 2030))
 
-#: Open-loop gate: sustained throughput at k=4 over k=2 at the saturating
-#: rate.  depth bounds concurrent cross-shard rotations per primary, so
-#: doubling it must buy a real capacity step, not noise.
-OPEN_LOOP_K4_OVER_K2 = 1.15
+#: Closed-loop plateau the eager pump recorded before the window bounded
+#: Forward-driven proposals: mean over the panel at any depth >= 2 (400.06;
+#: the seed-2022 run alone read 406.4).  Every pipelined depth must still
+#: reach it, to within what the panel can resolve.
+CLOSED_LOOP_FLOOR_TPS = 400.0
+CLOSED_LOOP_TOLERANCE = 0.01
 
-#: Open-loop gate: mean proposed batch size at k >= 2.  The rate-shaped pump
-#: exists to stop one-request crumb proposals under load.
-OPEN_LOOP_MIN_AVG_BATCH = 2.0
+#: Open-loop gate: share of the saturating offered rate every depth >= 2
+#: must sustain inside the injection window.
+OPEN_LOOP_SUSTAINED_FRACTION = 0.98
+
+#: Open-loop gate: mean proposed batch size at k >= 2, as a share of
+#: ``max_batch``.  Under sustained load only full batches and timer flushes
+#: leave the primary, so the average sits just below a full batch.
+OPEN_LOOP_MIN_BATCH_FILL = 0.75
 
 OPEN_LOOP = dict(
     # Figure-8 topology and mix, but measured open loop at fixed offered
-    # rates.  The saturating rate (last entry) drives the k=4-vs-k=2 gate.
+    # rates.  The saturating rate (last entry) drives the open-loop gates.
     rates=(1500.0, 2500.0),
     depths=(1, 2, 4, 8),
-    # Shaped-batch cap: small enough that a single rotation cannot amortise
-    # the whole queue (that is the k=1 mega-batch regime), large enough to
-    # keep rotations worth their WAN round-trips.
+    # Batch cap: small enough that a single rotation cannot amortise the
+    # whole queue (that is the k=1 mega-batch regime), large enough to keep
+    # rotations worth their WAN round-trips.  Both rates fill it inside the
+    # 50 ms queue-delay budget at every primary, so the full-batch rule is
+    # what is measured.
     max_batch=8,
-    # Engage the shaped pump at half a slot of measured demand: the
-    # closed-loop macro sits at ~0.14 slots (stays eager), the open-loop
-    # rates at >= 0.7 (shaped + deferred slots).
-    sustain_threshold=0.5,
     # Capacity isolation: large key space (no lock-contention ceiling) and
     # fault timers beyond the horizon (no view-change churn while saturated).
     num_records=100_000,
@@ -176,6 +188,17 @@ def _sweep_run(depth: int, params: dict) -> dict:
     }
 
 
+def _closed_loop_panel(depth: int, params: dict, headline: dict) -> dict:
+    """Closed-loop throughput at ``depth`` per panel seed, and the mean."""
+    by_seed = {
+        str(seed): (
+            headline if seed == params["seed"] else _sweep_run(depth, {**params, "seed": seed})
+        )["protocol_throughput_tps"]
+        for seed in CLOSED_LOOP_PANEL_SEEDS
+    }
+    return {"tps_by_seed": by_seed, "mean_tps": round(sum(by_seed.values()) / len(by_seed), 1)}
+
+
 def _sweep(params: dict) -> dict:
     runs = {str(depth): _sweep_run(depth, params) for depth in params["depths"]}
     k1 = runs.get("1", {}).get("protocol_throughput_tps", 0.0)
@@ -183,7 +206,12 @@ def _sweep(params: dict) -> dict:
         depth: round(run["protocol_throughput_tps"] / k1, 2) if k1 else 0.0
         for depth, run in runs.items()
     }
-    return {"runs": runs, "speedup_vs_k1": speedups}
+    panel = {
+        depth: _closed_loop_panel(int(depth), params, run)
+        for depth, run in runs.items()
+        if int(depth) > 1
+    }
+    return {"runs": runs, "speedup_vs_k1": speedups, "panel": panel}
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +239,7 @@ def _open_loop_run(depth: int, rate: float, params: dict, open_params: dict) -> 
             transmit_timeout=transmit,
             client_timeout=client,
         ),
-        pipeline=PipelineConfig(
-            depth=depth,
-            max_batch_size=open_params["max_batch"],
-            sustain_threshold=open_params["sustain_threshold"],
-        ),
+        pipeline=PipelineConfig(depth=depth, max_batch_size=open_params["max_batch"]),
     )
     deployment = Deployment.build(
         config,
@@ -251,13 +275,15 @@ def _open_loop_run(depth: int, rate: float, params: dict, open_params: dict) -> 
         "sustained_tps": round(driver.sustained_tps, 1),
         "ledgers_consistent": result.ledgers_consistent,
         "wall_clock_s": round(result.wall_clock_s, 4),
+        # Over the whole run, drain included: the bound admits no exception.
+        "peak_open_slots": result.pipeline_stats.get("peak_open_slots", 0),
         # Gauges captured at end of injection, while the load was applied.
         "pipeline": driver.steady_pipeline_stats,
     }
 
 
 def _open_loop_sweep(params: dict, open_params: dict) -> dict:
-    """Sustained throughput per depth per offered rate, plus the gate ratio."""
+    """Sustained throughput per depth per offered rate, plus the gated share."""
     runs: dict[str, dict[str, dict]] = {}
     for rate in open_params["rates"]:
         for depth in open_params["depths"]:
@@ -265,13 +291,16 @@ def _open_loop_sweep(params: dict, open_params: dict) -> dict:
                 depth, rate, params, open_params
             )
     saturating = str(int(open_params["rates"][-1]))
-    at_sat = runs.get(saturating, {})
-    k2 = at_sat.get("2", {}).get("sustained_tps", 0.0)
-    k4 = at_sat.get("4", {}).get("sustained_tps", 0.0)
+    pipelined = [
+        run["sustained_tps"] for depth, run in runs[saturating].items() if int(depth) > 1
+    ]
     return {
         "runs": runs,
         "saturating_rate_tps": float(saturating),
-        "k4_over_k2_sustained": round(k4 / k2, 3) if k2 else 0.0,
+        # Worst pipelined depth's share of the saturating offered rate.
+        "sustained_fraction": (
+            round(min(pipelined) / float(saturating), 3) if pipelined else 0.0
+        ),
     }
 
 
@@ -401,28 +430,34 @@ def run_benchmark(smoke: bool = False, **overrides) -> dict:
     identity = _chain_identity()
     backends = _backend_consistency(depth=max(params["depths"]))
 
-    k4_speedup = sweep["speedup_vs_k1"].get("4", 0.0)
     saturating = open_loop["runs"].get(str(int(open_params["rates"][-1])), {})
-    shaped_runs = [run for d, run in saturating.items() if int(d) > 1]
+    pipelined_runs = [run for d, run in saturating.items() if int(d) > 1]
     verdicts = {
-        # CI gate (pipeline-perf-smoke): k=4 at least 1.5x the classic k=1.
-        "speedup_k4_1_5x": k4_speedup >= SPEEDUP_GATE,
-        # CI gate: the closed loop never regresses -- every pipelined depth
-        # still reaches the plateau the eager pump recorded.
-        "closed_loop_no_regression": all(
-            run["protocol_throughput_tps"] >= CLOSED_LOOP_FLOOR_TPS
-            for depth, run in sweep["runs"].items()
+        # CI gate (pipeline-perf-smoke): every pipelined depth at least 1.5x
+        # the classic k=1 (k=4 is the headline; the smoke run sweeps only it).
+        "closed_loop_speedup_1_5x": all(
+            speedup >= SPEEDUP_GATE
+            for depth, speedup in sweep["speedup_vs_k1"].items()
             if int(depth) > 1
         ),
-        # CI gate: depth buys real open-loop capacity at the saturating rate.
-        "open_loop_k4_beats_k2": (
-            open_loop["k4_over_k2_sustained"] >= OPEN_LOOP_K4_OVER_K2
+        # CI gate: the closed loop never regresses -- every pipelined depth
+        # still reaches the plateau the eager pump recorded (panel mean).
+        "closed_loop_no_regression": all(
+            panel["mean_tps"] >= (1.0 - CLOSED_LOOP_TOLERANCE) * CLOSED_LOOP_FLOOR_TPS
+            for panel in sweep["panel"].values()
         ),
-        # CI gate: the shaped pump proposes batches, not crumbs, under load.
-        "open_loop_no_crumbs": bool(shaped_runs)
-        and all(
-            run["pipeline"].get("avg_batch_size", 0.0) >= OPEN_LOOP_MIN_AVG_BATCH
-            for run in shaped_runs
+        # CI gate: every pipelined depth carries the saturating offered rate.
+        "open_loop_sustains_offered": bool(pipelined_runs)
+        and open_loop["sustained_fraction"] >= OPEN_LOOP_SUSTAINED_FRACTION,
+        # CI gate: full batches, not crumbs, under sustained load.
+        "open_loop_full_batches": all(
+            run["pipeline"].get("avg_batch_size", 0.0)
+            >= OPEN_LOOP_MIN_BATCH_FILL * open_params["max_batch"]
+            for run in pipelined_runs
+        ),
+        # CI gate: the window bounds every proposer, Forward-driven included.
+        "open_loop_window_is_a_bound": all(
+            run["peak_open_slots"] <= run["depth"] for run in pipelined_runs
         ),
         # Safety: pipelining off means bit-for-bit the pre-PR protocol.
         "k1_chain_identity": identity["match"],
@@ -527,20 +562,26 @@ def main(argv: list[str] | None = None) -> int:
             f" avg batch {pipe.get('avg_batch_size', 0.0)},"
             f" consistent={run['ledgers_consistent']})"
         )
+    for depth, panel in report["sweep"]["panel"].items():
+        print(
+            f"closed-loop panel k={depth:>2s}: mean {panel['mean_tps']} tps over"
+            f" {len(panel['tps_by_seed'])} seeds (floor {CLOSED_LOOP_FLOOR_TPS},"
+            f" -{CLOSED_LOOP_TOLERANCE:.0%} resolution)"
+        )
     for rate, by_depth in report["open_loop"]["runs"].items():
         for depth, run in by_depth.items():
             pipe = run["pipeline"]
             print(
                 f"open k={depth:>2s} @ {rate:>5s}/s: {run['sustained_tps']:>8} tps sustained"
                 f"  (avg batch {pipe.get('avg_batch_size', 0.0)},"
-                f" {pipe.get('shaped_batches', 0)} shaped /"
-                f" {pipe.get('fallback_batches', 0)} eager,"
-                f" occupancy {pipe.get('slot_occupancy', 0.0)})"
+                f" peak {run['peak_open_slots']} slots,"
+                f" queue delay {1e3 * pipe.get('avg_queue_delay_s', 0.0):.1f} ms)"
             )
     print(
-        "open-loop k4/k2    : "
-        f"x{report['open_loop']['k4_over_k2_sustained']}"
-        f" @ {report['open_loop']['saturating_rate_tps']:.0f}/s offered"
+        "open-loop sustained: "
+        f"x{report['open_loop']['sustained_fraction']} of"
+        f" {report['open_loop']['saturating_rate_tps']:.0f}/s offered"
+        " (worst depth >= 2)"
     )
     identity = report["k1_identity"]
     print(f"k=1 chain identity : {'MATCH' if identity['match'] else 'MISMATCH'}"

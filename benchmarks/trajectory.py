@@ -88,7 +88,9 @@ def pipeline_headline(report: dict) -> dict:
         "pipeline_open_loop_rate": (
             float(saturating_rate) if saturating_rate else 0.0
         ),
-        "pipeline_k4_over_k2": open_loop.get("k4_over_k2_sustained", 0.0),
+        "pipeline_open_loop_sustained_fraction": open_loop.get(
+            "sustained_fraction", 0.0
+        ),
     }
 
 

@@ -15,6 +15,12 @@ same review before it ships.
   (``_ready_cross``/``_next_cross_proposal``/``_cross_dest_counts``/
   ``_cross_order_stale``) outside the audited AHL replica module.
 
+* **propose-site** -- a ``self._propose(...)`` call anywhere but
+  ``PbftReplica``'s batching, admission and pump methods.  ``_propose`` opens
+  a window slot unconditionally, so a subclass that calls it directly walks
+  past ``PipelineConfig.depth`` (RingBFT's Forward-quorum proposals once held
+  9 slots at depth 4); everything else goes through ``_admit``.
+
 A legitimate new site is announced with a pragma, e.g.::
 
     acquired, unblocked = self.locks.try_lock(seq, token, keys)  # repro: allow[lock-site] audited: sequence-ordered via <proof>
@@ -48,17 +54,33 @@ CROSS_ORDER_ATTRS = frozenset(
 )
 
 
+#: The only callers of ``_propose``: the depth=1 fill/flush paths, the
+#: admission point, and the pump that serves it.
+PROPOSE_SITES = frozenset(
+    {
+        "PbftReplica._enqueue_for_proposal",
+        "PbftReplica._flush_batches",
+        "PbftReplica._admit",
+        "PbftReplica._pump_pipeline",
+    }
+)
+
+
 class _AttrCallVisitor(SymbolVisitor):
     def __init__(self, source: SourceFile) -> None:
         super().__init__()
         self.source = source
         self.lock_calls: list[tuple[ast.Call, str, str]] = []
         self.order_attrs: list[tuple[ast.Attribute, str, str]] = []
+        self.propose_calls: list[tuple[ast.Call, str]] = []
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in LOCK_MUTATORS:
-            self.lock_calls.append((node, func.attr, self.symbol))
+        if isinstance(func, ast.Attribute):
+            if func.attr in LOCK_MUTATORS:
+                self.lock_calls.append((node, func.attr, self.symbol))
+            elif func.attr == "_propose":
+                self.propose_calls.append((node, self.symbol))
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -120,4 +142,30 @@ class CrossOrderSiteRule(Rule):
                 symbol,
             )
             for node, attr, symbol in visitor.order_attrs
+        ]
+
+
+@register_rule
+class ProposeSiteRule(Rule):
+    id = "propose-site"
+    title = "Proposals only through the admission point"
+    rationale = (
+        "_propose opens a window slot unconditionally; only PbftReplica's "
+        "batching, admission and pump methods may call it, so "
+        "PipelineConfig.depth bounds every proposer."
+    )
+
+    def check_file(self, source: SourceFile, project: Project) -> Iterable[Finding]:
+        visitor = _AttrCallVisitor(source)
+        visitor.visit(source.tree)
+        return [
+            source.finding(
+                self.id,
+                node,
+                "direct _propose(...) call bypasses the proposal window; "
+                "hand the batch to PbftReplica._admit instead",
+                symbol,
+            )
+            for node, symbol in visitor.propose_calls
+            if symbol not in PROPOSE_SITES
         ]

@@ -117,8 +117,7 @@ class AhlReplica(PbftReplica):
         # replica were later promoted primary.
         self._cross_order_stale = True
         for record in sorted(self._ready_cross.values(), key=lambda r: r.dest_sequence or 0):
-            if self.is_primary and not self.byzantine_silent:
-                self._propose(record.requests)
+            self._admit(record.requests)
         self._ready_cross.clear()
 
     # ------------------------------------------------------------------
@@ -246,8 +245,7 @@ class AhlReplica(PbftReplica):
             # missed will never be retransmitted, so strict ordering would
             # trade the deadlock risk for a certain stall.
             record.local_consensus_started = True
-            if self.is_primary and not self.byzantine_silent:
-                self._propose(message.requests)
+            self._admit(message.requests)
             return
         # Queue for local vote consensus strictly in the committee-assigned
         # per-shard order: every involved shard then locks the same two
@@ -268,8 +266,24 @@ class AhlReplica(PbftReplica):
         while self._next_cross_proposal in self._ready_cross:
             record = self._ready_cross.pop(self._next_cross_proposal)
             self._next_cross_proposal += 1
-            if self.is_primary and not self.byzantine_silent:
-                self._propose(record.requests)
+            self._admit(record.requests)
+
+    def _resubmit_pending_requests(self) -> None:
+        """After a view change, also re-drive 2PC batches that stalled.
+
+        Every replica advances the dense-index cursor but only the primary
+        proposes, so a batch the old primary queued or proposed without
+        committing is known here and owed to the committee: the new primary
+        re-drives it, oldest index first, through the admission point.
+        """
+        super()._resubmit_pending_requests()
+        stalled = [
+            record
+            for record in self._records.values()
+            if record.local_consensus_started and record.local_sequence is None
+        ]
+        for record in sorted(stalled, key=lambda r: r.dest_sequence or 0):
+            self._admit(record.requests)
 
     # ------------------------------------------------------------------
     # 2PC: vote phase

@@ -25,15 +25,18 @@ class Batcher:
 
     batch_size: int
     _groups: "OrderedDict[frozenset[int], list[ClientRequest]]" = field(default_factory=OrderedDict)
+    #: Requests waiting across all groups (kept running: the pipelined pump
+    #: reads it on every arrival).
+    pending: int = field(default=0, init=False)
 
     def add(self, request: ClientRequest) -> list[ClientRequest] | None:
         """Add a request; return a full batch if one just completed, else ``None``."""
         key = request.transaction.involved_shards
         group = self._groups.setdefault(key, [])
         group.append(request)
+        self.pending += 1
         if len(group) >= self.batch_size:
-            del self._groups[key]
-            return group
+            return self._pop(key, group, len(group))
         return None
 
     def stage(self, request: ClientRequest) -> None:
@@ -45,6 +48,19 @@ class Batcher:
         """
         key = request.transaction.involved_shards
         self._groups.setdefault(key, []).append(request)
+        self.pending += 1
+
+    def _pop(
+        self, key: frozenset[int], group: list[ClientRequest], size: int
+    ) -> list[ClientRequest]:
+        """Remove the first ``size`` requests of ``group`` (an emptied group goes)."""
+        self.pending -= min(size, len(group))
+        if len(group) <= size:
+            del self._groups[key]
+            return group
+        batch = group[:size]
+        del group[:size]
+        return batch
 
     def take(self, max_size: int) -> list[ClientRequest] | None:
         """Pop up to ``max_size`` requests from the oldest pending group.
@@ -52,17 +68,21 @@ class Batcher:
         Batches stay homogeneous (one involved-shard set per batch), so a
         single call never mixes groups; ``None`` means nothing is pending.
         """
-        if max_size < 1:
+        if max_size < 1 or not self._groups:
             return None
+        key, group = next(iter(self._groups.items()))
+        return self._pop(key, group, max_size)
+
+    def take_full(self, size: int) -> list[ClientRequest] | None:
+        """Pop exactly ``size`` requests from the oldest group holding that many.
+
+        Unlike :meth:`take` this looks past an older, partially filled group:
+        a minority involved-shard set must not make a full batch wait behind
+        it.  ``None`` means no group is full yet.
+        """
         for key, group in self._groups.items():
-            if not group:
-                continue
-            if len(group) <= max_size:
-                del self._groups[key]
-                return group
-            batch = group[:max_size]
-            del group[:max_size]
-            return batch
+            if len(group) >= size:
+                return self._pop(key, group, size)
         return None
 
     @staticmethod
@@ -97,9 +117,5 @@ class Batcher:
                 batches.append(group[start : start + size])
                 start += size
         self._groups.clear()
+        self.pending = 0
         return batches
-
-    @property
-    def pending(self) -> int:
-        """Number of requests currently waiting for their batch to fill."""
-        return sum(len(group) for group in self._groups.values())

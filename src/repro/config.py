@@ -124,34 +124,32 @@ class PipelineConfig:
 
     PBFT allows a primary to run consensus on several sequence numbers
     concurrently below the high watermark; ``depth`` is the size of that
-    proposal window (k).  ``depth=1`` reproduces the classic one-batch-at-a-
-    time behaviour exactly (same seeds -> same block chains).  With a deeper
-    window the primary sizes batches *adaptively* from the pending-queue
-    depth: light load ships small batches immediately (low latency), heavy
-    load packs batches up to the replica's batch size (amortised MAC/encode
-    cost), and the trailing timer flush uses the same sizing so it cannot
-    emit one-request crumbs while the queue is deep.
+    proposal window (k): every proposer at a primary -- client batches,
+    forwarded cross-shard batches, new-view resubmissions -- takes a slot, and
+    a slot is free again once its sequence commits locally.  ``depth=1``
+    reproduces the classic one-batch-at-a-time behaviour exactly (same seeds
+    -> same block chains).  With a deeper window the primary picks its
+    batching rule from its measured arrival rate: light load ships whatever is
+    staged as soon as the window is idle (low latency), sustained load ships
+    only full ``max_batch_size`` batches plus a ``target_queue_delay`` timer
+    flush (amortised MAC/encode cost, no one-request crumbs).
     """
 
     depth: int = 1
-    #: Smallest batch the adaptive sizing will propose (>= 1).
+    #: Smallest partial batch the light-load rule ships before the flush
+    #: timer forces it out (>= 1).
     min_batch_size: int = 1
-    #: Largest batch the adaptive sizing will propose; 0 means "use the
-    #: replica's configured batch size".
+    #: Batch size that ships without waiting; 0 means "use the replica's
+    #: configured batch size".
     max_batch_size: int = 0
     #: How long a staged request may wait for its batch to fill before the
     #: flush timer forces it out (seconds; pipelined primaries only --
-    #: depth=1 keeps the legacy BATCH_FLUSH_DELAY).
+    #: depth=1 keeps the legacy BATCH_FLUSH_DELAY).  Also the budget the
+    #: load test uses: sustained means arrivals fill ``max_batch_size``
+    #: within this delay.
     target_queue_delay: float = 0.05
-    #: EWMA smoothing factor for the slot-occupancy controller's commit
-    #: latency and arrival-rate estimates (0 < alpha <= 1).
-    ewma_alpha: float = 0.2
-    #: Seed value for the commit-latency EWMA before the first measured
-    #: sample (seconds) -- a deterministic prior, never a host reading.
-    latency_prior_s: float = 0.005
-    #: In-flight demand (``arrival_rate * commit_latency``, in busy slots) at
-    #: which the rate-shaped pump engages; below it the pump degrades to the
-    #: proven eager behaviour (ship immediately when the window is idle).
+    #: Accepted and ignored: the threshold of the removed slot-occupancy
+    #: controller, kept so existing ``PipelineConfig(...)`` calls construct.
     sustain_threshold: float = 1.0
 
     def __post_init__(self) -> None:
@@ -168,12 +166,6 @@ class PipelineConfig:
             )
         if self.target_queue_delay <= 0:
             raise ConfigurationError("target_queue_delay must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError("ewma_alpha must be in (0, 1]")
-        if self.latency_prior_s <= 0:
-            raise ConfigurationError("latency_prior_s must be positive")
-        if self.sustain_threshold <= 0:
-            raise ConfigurationError("sustain_threshold must be positive")
 
 
 @dataclass(frozen=True)

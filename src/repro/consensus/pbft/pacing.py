@@ -1,299 +1,63 @@
-"""Slot-occupancy pacing for the pipelined proposal window.
+"""Arrival-rate estimate for the pipelined proposal pump.
 
-The eager pump that PR 6 shipped refills a free slot the moment anything is
-staged, which is the right call exactly once: when arrivals are slower than
-consensus rounds, holding a request buys nothing (the closed-loop figure-8
-macro lives here -- per-primary arrivals every ~7 ms against ~5 ms local
-rounds).  At higher offered rates the same rule shreds the queue into
-one-request proposals: every slot close finds one staged request, ships it,
-and the window turns over thousands of near-empty consensus rounds.
+The pump chooses between two batching rules from one question: can the
+offered load fill a batch before the queue-delay timer would flush it anyway?
+:class:`ArrivalRateEstimator` answers it from the primary's own event stream,
+as the reciprocal of an EWMA over interarrival gaps.
 
-:class:`SlotOccupancyController` gives the pump the three estimates it needs
-to tell these regimes apart, measured online from the primary's own event
-stream:
+The *gap* is smoothed, not the instantaneous rate: zero gaps (a burst
+delivered in one event) enter the average like any other sample, so a burst of
+N arrivals followed by a quiet period reads as the sustained rate instead of N
+over one tiny gap.
 
-* **commit latency** ``L`` -- EWMA of propose-to-local-commit time per
-  sequence: the length of one consensus round, regardless of how long the
-  slot stays occupied afterwards;
-* **slot-hold time** ``H`` -- EWMA of propose-to-release time per sequence.
-  For a single-shard batch ``H == L``; a pipelined cross-shard batch holds
-  its slot through the ring rotation (see the RingBFT layer's deferred slot
-  release), so ``H`` can run one to two orders of magnitude past ``L``;
-* **arrival rate** ``lam`` -- reciprocal of the EWMA interarrival gap.  The
-  gap is smoothed directly (zero gaps from same-event bursts included), so a
-  burst of N arrivals followed by a quiet period averages out to the
-  sustained rate instead of rating the burst against one tiny gap.
-
-``lam * L`` is the *in-flight demand*: how many requests arrive during one
-consensus round, i.e. whether the offered load can keep the window busy at
-all (Little's law).  ``lam * H`` is the *slot demand*: how many requests
-arrive while one slot is actually occupied -- the number a shaped batch must
-carry so that ``depth`` slots absorb the load.  Two derived quantities drive
-the pump:
-
-* :meth:`window_sustainable` -- ``lam * L >= sustain_threshold`` (default one
-  busy slot).  Below it the pump degrades to the proven eager behaviour;
-  above it the shaped rules (and the cross-shard slot deferral) engage.
-* :meth:`batch_ceiling` -- ``clamp(ceil(lam * H / depth), 2, max_batch)``:
-  the per-slot batch size that spreads the slot demand over ``depth``
-  concurrently-busy slots.  The floor of 2 is the "no crumbs" rule: a shaped
-  batch smaller than two requests is by definition not worth a consensus
-  round while the flush timer bounds its wait.  Using ``H`` rather than ``L``
-  here is what lets the ceiling track ring back-pressure: when deferred
-  cross-shard slots stretch the hold time, each rotation must carry
-  proportionally more requests or the ring becomes the bottleneck.
-
-Determinism contract: the controller owns no clock and no randomness -- every
-method takes ``now`` from the caller (the replica's scheduler time), so the
-same message order reproduces the same EWMA state, mode flips, and ceilings
-on any backend and any host.
+Determinism contract: the estimator owns no clock and no randomness -- the
+caller passes its scheduler time, so the same message order reproduces the
+same estimate on any backend and any host.
 """
 
 from __future__ import annotations
 
-import math
+#: EWMA smoothing factor for the interarrival gap.
+EWMA_ALPHA = 0.2
+
+#: Gap samples required before the estimate is trusted.  A freshly started
+#: primary has no evidence about the load, so a short burst (a closed-loop
+#: window priming every client at t=0) must not read as sustained pressure.
+WARMUP_SAMPLES = 8
 
 
-class SlotOccupancyController:
-    """Online occupancy estimator for one primary's proposal window.
+class ArrivalRateEstimator:
+    """Smoothed offered load at one primary (staged requests per second)."""
 
-    The replica feeds it four events -- request staged, batch proposed, slot
-    closed, window reset -- and reads back the pacing decisions.  All state is
-    a pure function of those events and the constructor arguments.
-    """
+    __slots__ = ("_gap_s", "_samples", "_last_arrival_at")
 
-    __slots__ = (
-        "depth",
-        "min_batch",
-        "max_batch",
-        "_alpha",
-        "_sustain",
-        "_warmup",
-        "_latency_s",
-        "_latency_samples",
-        "_hold_s",
-        "_gap_s",
-        "_rate_samples",
-        "_last_arrival_at",
-        "_open_since",
-        "_busy_slot_s",
-        "_observed_from",
-        "_last_event_at",
-    )
-
-    #: Estimate samples (latency and arrival each) required before the shaped
-    #: rules may engage.  A freshly started primary has no evidence about the
-    #: load; until both EWMAs have seen this many samples the pump keeps the
-    #: proven eager behaviour, so short bursts (a closed-loop window priming
-    #: every client at t=0) cannot flip an idle window into holding requests.
-    WARMUP_SAMPLES = 8
-
-    def __init__(
-        self,
-        *,
-        depth: int,
-        min_batch: int,
-        max_batch: int,
-        ewma_alpha: float,
-        latency_prior_s: float,
-        sustain_threshold: float,
-    ) -> None:
-        self.depth = depth
-        self.min_batch = min_batch
-        self.max_batch = max(max_batch, min_batch)
-        self._alpha = ewma_alpha
-        self._sustain = sustain_threshold
-        self._warmup = self.WARMUP_SAMPLES
-        # EWMA state: seeded from config priors, never from the host.
-        self._latency_s = latency_prior_s
-        self._latency_samples = 0
-        self._hold_s = latency_prior_s
+    def __init__(self) -> None:
         self._gap_s = 0.0
-        self._rate_samples = 0
+        self._samples = 0
         self._last_arrival_at: float | None = None
-        # Open proposals (sequence -> proposed-at) and the busy-slot
-        # time-integral behind the occupancy gauge.
-        self._open_since: dict[int, float] = {}
-        self._busy_slot_s = 0.0
-        self._observed_from: float | None = None
-        self._last_event_at = 0.0
-
-    # ------------------------------------------------------------------
-    # event feed
-    # ------------------------------------------------------------------
 
     def note_arrival(self, now: float) -> None:
-        """A request was staged at ``now``; update the interarrival EWMA.
-
-        The *gap* is smoothed, not the instantaneous rate: zero gaps (bursts
-        delivered in one event) enter the average like any other sample, so
-        the estimate converges on total-arrivals-over-total-time rather than
-        exploding when a burst is followed by one short gap.
-        """
-        if self._last_arrival_at is None:
-            self._last_arrival_at = now
-            return
-        gap = now - self._last_arrival_at
-        if self._rate_samples == 0:
-            self._gap_s = gap
-        else:
-            self._gap_s += self._alpha * (gap - self._gap_s)
-        self._rate_samples += 1
+        """A request was staged at ``now``; fold the gap into the EWMA."""
+        if self._last_arrival_at is not None:
+            gap = now - self._last_arrival_at
+            if self._samples == 0:
+                self._gap_s = gap
+            else:
+                self._gap_s += EWMA_ALPHA * (gap - self._gap_s)
+            self._samples += 1
         self._last_arrival_at = now
 
-    def note_propose(self, now: float, sequence: int) -> None:
-        """A batch was proposed into ``sequence`` at ``now``."""
-        if self._observed_from is None:
-            self._observed_from = now
-            self._last_event_at = now
-        self._advance(now)
-        self._open_since[sequence] = now
-
-    def note_commit(self, now: float, sequence: int) -> None:
-        """``sequence`` reached local commit at ``now``; sample commit latency.
-
-        Fired at the end of the three-phase round, *before* the slot-release
-        decision: a deferred cross-shard slot still contributes an honest
-        consensus-round sample here, while its (much longer) occupancy is
-        measured separately by :meth:`note_close`.
-        """
-        proposed_at = self._open_since.get(sequence)
-        if proposed_at is None:
-            return
-        sample = now - proposed_at
-        if self._latency_samples == 0:
-            self._latency_s = sample
-        else:
-            self._latency_s += self._alpha * (sample - self._latency_s)
-        self._latency_samples += 1
-
-    def note_close(self, now: float, sequence: int, *, committed: bool = True) -> None:
-        """``sequence`` left the window; sample the slot-hold time if it committed.
-
-        Abandoned slots (view-change gap fills, exhausted Forward
-        retransmissions) close without a sample: their propose-to-close time
-        measures a fault timeout, not slot economics, and would poison the
-        hold estimate.
-        """
-        self._advance(now)
-        proposed_at = self._open_since.pop(sequence, None)
-        if proposed_at is None or not committed:
-            return
-        sample = now - proposed_at
-        self._hold_s += self._alpha * (sample - self._hold_s)
-
-    def note_reset(self, now: float) -> None:
-        """View change: the old view's window is void; forget open proposals.
-
-        The EWMAs survive -- load and round latency are properties of the
-        deployment, not of the view -- but no latency samples are taken from
-        proposals the new view discarded.
-        """
-        self._advance(now)
-        self._open_since.clear()
-
-    def _advance(self, now: float) -> None:
-        """Accumulate the busy-slot time-integral up to ``now``."""
-        if self._observed_from is None:
-            return
-        elapsed = now - self._last_event_at
-        if elapsed > 0.0:
-            self._busy_slot_s += len(self._open_since) * elapsed
-            self._last_event_at = now
-
-    # ------------------------------------------------------------------
-    # estimates
-    # ------------------------------------------------------------------
-
     @property
-    def arrival_rate_tps(self) -> float:
-        """Smoothed offered load at this primary (staged requests per second).
+    def rate_tps(self) -> float:
+        """Arrivals per second; zero while the estimate is unknowable.
 
-        Zero while the estimate is unknowable: no two arrivals seen yet, or
-        every observed gap was zero (one burst and silence since).
+        Unknowable means still warming up, or every observed gap was zero
+        (one burst and silence since).
         """
-        if self._rate_samples == 0 or self._gap_s <= 0.0:
+        if self._samples < WARMUP_SAMPLES or self._gap_s <= 0.0:
             return 0.0
         return 1.0 / self._gap_s
 
-    @property
-    def commit_latency_s(self) -> float:
-        """EWMA propose-to-local-commit latency of one consensus round (seconds)."""
-        return self._latency_s
-
-    @property
-    def slot_hold_s(self) -> float:
-        """EWMA propose-to-release occupancy of one window slot (seconds)."""
-        return self._hold_s
-
-    @property
-    def inflight_demand(self) -> float:
-        """``lam * L``: consensus rounds the offered load can keep busy."""
-        return self.arrival_rate_tps * self._latency_s
-
-    @property
-    def slot_demand(self) -> float:
-        """``lam * H``: requests arriving while one window slot is occupied."""
-        return self.arrival_rate_tps * self._hold_s
-
-    def occupancy(self, now: float) -> float:
-        """Time-averaged number of busy window slots since the first proposal."""
-        if self._observed_from is None:
-            return 0.0
-        span = now - self._observed_from
-        if span <= 0.0:
-            return float(len(self._open_since))
-        tail = len(self._open_since) * max(now - self._last_event_at, 0.0)
-        return (self._busy_slot_s + tail) / span
-
-    # ------------------------------------------------------------------
-    # pacing decisions
-    # ------------------------------------------------------------------
-
-    def warmed_up(self) -> bool:
-        """Both EWMAs have enough samples to trust."""
-        return (
-            self._latency_samples >= self._warmup
-            and self._rate_samples >= self._warmup
-        )
-
-    def window_sustainable(self) -> bool:
-        """Whether the offered load can keep the window busy at all.
-
-        True once the measured in-flight demand reaches ``sustain_threshold``
-        busy slots (and both estimates are warmed up).  Below the threshold
-        arrivals are slower than rounds: holding a request could not fill a
-        batch before its slot would have gone idle, so the pump keeps the
-        proven eager behaviour.
-        """
-        return self.warmed_up() and self.inflight_demand >= self._sustain
-
-    def batch_ceiling(self) -> int:
-        """Per-slot batch size that spreads the slot demand over ``depth`` slots.
-
-        ``ceil(lam * H / depth)`` requests arrive per slot-hold per slot;
-        batching to that ceiling keeps ``depth`` slots concurrently busy
-        instead of letting one mega-batch starve slots 2..k, and scales with
-        the hold time so deferred cross-shard slots (held through the ring
-        rotation) carry rotation-sized batches.  Clamped to
-        ``[max(min_batch, 2), max_batch]`` -- the floor of 2 is the no-crumbs
-        rule, the cap is the replica's configured batch limit.
-        """
-        target = math.ceil(self.slot_demand / self.depth)
-        floor = max(self.min_batch, 2)
-        return max(floor, min(target, self.max_batch))
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def snapshot(self, now: float) -> dict[str, float | int]:
-        """Gauge readings for the metrics collector / CLI."""
-        return {
-            "slot_occupancy": round(self.occupancy(now), 2),
-            "batch_ceiling": self.batch_ceiling(),
-            "ewma_commit_latency_s": round(self._latency_s, 6),
-            "ewma_slot_hold_s": round(self._hold_s, 6),
-            "ewma_arrival_rate_tps": round(self.arrival_rate_tps, 1),
-            "inflight_demand": round(self.inflight_demand, 2),
-        }
+    def fills_within(self, batch_size: int, delay_s: float) -> bool:
+        """Whether arrivals alone fill ``batch_size`` requests inside ``delay_s``."""
+        return self.rate_tps * delay_s >= batch_size

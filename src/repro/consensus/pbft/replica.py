@@ -14,11 +14,13 @@ The replica implemented here provides:
 Subclasses (RingBFT, AHL, Sharper) override a small set of hooks --
 :meth:`_should_sign_commit`, :meth:`_on_batch_committed`, and
 :meth:`_accepts_client_request` -- to layer their cross-shard machinery on top
-without touching the intra-shard core.
+without touching the intra-shard core, and hand any batch they want ordered
+locally to :meth:`_admit` rather than proposing it themselves.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.common import codec
@@ -44,7 +46,7 @@ from repro.common.types import ReplicaId
 from repro.config import PipelineConfig, TimerConfig
 from repro.consensus.directory import Directory
 from repro.consensus.pbft.log import ConsensusLog, SlotState
-from repro.consensus.pbft.pacing import SlotOccupancyController
+from repro.consensus.pbft.pacing import ArrivalRateEstimator
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
@@ -107,20 +109,12 @@ class PbftReplica(Node):
         #: abandoned yet -- the occupied part of the proposal window.
         self._open_slots: set[int] = set()
         self.peak_open_slots = 0
-        #: Rate-shaped pump state: EWMA load/latency estimates and the
-        #: occupancy gauge.  Only fed on the depth>1 paths, so the depth=1
-        #: legacy code path stays byte-identical.
-        self.pacing = SlotOccupancyController(
-            depth=self.pipeline.depth,
-            min_batch=self.pipeline.min_batch_size,
-            max_batch=self.pipeline.max_batch_size or self.batcher.batch_size,
-            ewma_alpha=self.pipeline.ewma_alpha,
-            latency_prior_s=self.pipeline.latency_prior_s,
-            sustain_threshold=self.pipeline.sustain_threshold,
-        )
-        #: Batches proposed by the shaped rules vs the eager fallback.
-        self.shaped_batch_count = 0
-        self.fallback_batch_count = 0
+        #: Batches waiting for a free window slot, in arrival order: everything
+        #: that reaches :meth:`_admit` while the window is full.
+        self._admission_queue: deque[tuple[ClientRequest, ...]] = deque()
+        #: Offered-load estimate that picks the pump's batching rule.  Only
+        #: fed on the depth>1 path, so depth=1 stays byte-identical.
+        self.pacing = ArrivalRateEstimator()
         #: txn_id -> stage time at this primary, consumed at proposal time to
         #: derive the per-batch queue delay (time a request waited for its
         #: batch to open a slot).
@@ -418,86 +412,84 @@ class PbftReplica(Node):
             for batch in self.batcher.flush():
                 self._propose(tuple(batch))
             return
-        # The flush timer forces staged requests out even below the shaped
-        # ceiling / min_batch_size; sizing still goes through the adaptive
-        # rule, so a deep queue is never emitted as one-request crumbs.
         self._pump_pipeline("flush")
 
     # ------------------------------------------------------------------
     # pipelined proposal window (depth > 1)
     # ------------------------------------------------------------------
 
+    def _admit(self, batch: tuple[ClientRequest, ...]) -> None:
+        """The admission point for every batch that bypasses the batcher.
+
+        Forward-quorum batches, new-view resubmissions and AHL's 2PC batches
+        arrive ready-made; they take a window slot like any client batch, so
+        ``len(_open_slots) <= depth`` holds whoever proposes.  A full window
+        queues the batch, and :meth:`_pump_pipeline` serves that queue before
+        the batcher: a queued batch already holds locks or votes elsewhere.
+        Only a primary proposes; depth=1 keeps its classic direct proposal.
+        A batch this primary is already ordering is dropped: a NewView
+        re-proposes prepared batches and marks them enqueued before the
+        subclasses re-drive their stalled records, and the re-proposal has
+        not committed yet, so :meth:`_propose`'s committed filter cannot see it.
+        """
+        if not self.is_primary or self.byzantine_silent:
+            return
+        if any(request.transaction.txn_id in self._enqueued_txns for request in batch):
+            return
+        if self.pipeline.depth <= 1 or len(self._open_slots) < self.pipeline.depth:
+            self._propose(batch)
+        else:
+            self._admission_queue.append(batch)
+
     def _max_adaptive_batch(self) -> int:
         return self.pipeline.max_batch_size or self.batcher.batch_size
 
-    def _adaptive_batch_size(self, pending: int) -> int:
-        """Batch size chosen from the pending-queue depth.
+    def _pump_pipeline(self, reason: str) -> None:
+        """Fill free window slots: queued admissions first, then the batcher.
 
-        The queue is split into the *fewest* even chunks that respect
-        ``max_batch``: a shallow queue ships whole (one slot, immediately), a
-        deep one splits into balanced full-size batches that overlap in the
-        window.  Splitting further just to occupy free slots would add
-        consensus rounds without helping latency -- execution is in sequence
-        order regardless.
+        ``reason`` names the triggering event: ``"arrival"`` (a request was
+        staged), ``"slot"`` (the window changed) or ``"flush"`` (the
+        queue-delay timer fired).  A group holding a full ``max_batch`` always
+        ships.  A partial batch ships when waiting cannot fill it:
+
+        * the flush timer fired -- the bound on how long a request may wait;
+        * arrivals are too slow to fill a batch inside that bound
+          (:meth:`ArrivalRateEstimator.fills_within` false), so holding buys
+          nothing: ship when the window is idle, and while a round is in
+          flight let it act as the batching clock (ship when its slot
+          closes).
+
+        Under sustained load only full batches and timer flushes go out, so
+        freeing slots at local commit cannot shred the queue into crumbs.
         """
+        if not self.is_primary:
+            # A demoted primary's flush timer: its staged requests are the
+            # new primary's to order (they were resubmitted to it).
+            return
+        depth = self.pipeline.depth
+        while self._admission_queue and len(self._open_slots) < depth:
+            self._propose(self._admission_queue.popleft())
+        batcher = self.batcher
         max_batch = self._max_adaptive_batch()
-        chunks = -(-pending // max_batch)
-        size = -(-pending // chunks)
-        return max(self.pipeline.min_batch_size, min(size, max_batch))
-
-    def _pump_pipeline(self, reason: str = "slot") -> None:
-        """Open proposal slots up to the window depth, rate-shaped.
-
-        ``reason`` names the event that triggered the pump: ``"arrival"`` (a
-        request was staged), ``"slot"`` (a slot left the window), or
-        ``"flush"`` (the queue-delay timer fired).
-
-        Two regimes, chosen by the occupancy controller's measured in-flight
-        demand (:meth:`SlotOccupancyController.window_sustainable`):
-
-        * **shaped** -- arrivals can keep the window busy, so every slot is
-          worth a real batch: the pump proposes only ceiling-sized batches
-          (:meth:`~SlotOccupancyController.batch_ceiling` targets ``depth``
-          concurrently-busy slots) and otherwise lets requests accumulate.
-          No 1-txn crumbs while the window has headroom, no whole-queue
-          mega-batch starving slots 2..k.
-        * **eager fallback** -- arrivals are slower than consensus rounds
-          (the controller cannot keep even one slot busy), so holding buys
-          nothing: ship immediately when the window is idle, and while a
-          round is in flight let it act as the batching clock.  This is the
-          pre-shaping pump, byte-for-byte, and the k=1-style mega-batching it
-          degrades to under a deep queue is the proven closed-loop behaviour.
-
-        Either way the flush timer re-armed below bounds how long a staged
-        request can wait, and flush-triggered pumps size batches through the
-        adaptive even-split rule so they never emit crumbs from a deep queue.
-        """
-        shaped = self.pacing.window_sustainable()
-        while len(self._open_slots) < self.pipeline.depth:
-            pending = self.batcher.pending
-            if pending == 0:
+        sustained = self.pacing.fills_within(max_batch, self.pipeline.target_queue_delay)
+        while batcher.pending and len(self._open_slots) < depth:
+            batch = batcher.take_full(max_batch)
+            if batch is None and (
+                reason == "flush"
+                or (
+                    not sustained
+                    and batcher.pending >= self.pipeline.min_batch_size
+                    and (reason == "slot" or not self._open_slots)
+                )
+            ):
+                # Fewest even chunks within max_batch: a deep queue never
+                # leaves as one-request crumbs.
+                size = Batcher.even_split(batcher.pending, max_batch)[0]
+                batch = batcher.take(max(size, self.pipeline.min_batch_size))
+            if batch is None:
                 break
-            if shaped and reason != "flush":
-                size = self.pacing.batch_ceiling()
-                if pending < size:
-                    break
-            elif reason == "arrival":
-                if pending < self.pipeline.min_batch_size:
-                    break
-                if self._open_slots and pending < self._max_adaptive_batch():
-                    break
-                size = self._adaptive_batch_size(pending)
-            else:
-                size = self._adaptive_batch_size(pending)
-            batch = self.batcher.take(size)
-            if not batch:
-                break
-            if shaped and reason != "flush":
-                self.shaped_batch_count += 1
-            else:
-                self.fallback_batch_count += 1
             self._propose(tuple(batch))
-        if self.batcher.pending and not self.has_timer("batch-flush"):
+        if batcher.pending and not self.has_timer("batch-flush"):
             self.set_timer(
                 "batch-flush", self.pipeline.target_queue_delay, self._flush_batches
             )
@@ -507,8 +499,6 @@ class PbftReplica(Node):
         self._open_slots.add(sequence)
         if len(self._open_slots) > self.peak_open_slots:
             self.peak_open_slots = len(self._open_slots)
-        if self.pipeline.depth > 1:
-            self.pacing.note_propose(self.now, sequence)
         self.proposed_batch_count += 1
         self.proposed_txn_count += len(batch)
         now = self.now
@@ -518,12 +508,11 @@ class PbftReplica(Node):
                 self.queue_delay_total += now - staged_at
                 self.proposed_request_count += 1
 
-    def _close_slot(self, sequence: int, *, committed: bool = True) -> None:
+    def _close_slot(self, sequence: int) -> None:
         """A slot left the window (committed or abandoned): refill it."""
         if sequence in self._open_slots:
             self._open_slots.discard(sequence)
             if self.pipeline.depth > 1:
-                self.pacing.note_close(self.now, sequence, committed=committed)
                 self._pump_pipeline("slot")
 
     @property
@@ -537,13 +526,6 @@ class PbftReplica(Node):
         if not self.proposed_request_count:
             return 0.0
         return self.queue_delay_total / self.proposed_request_count
-
-    @property
-    def pacing_stats(self) -> dict[str, float | int]:
-        """Occupancy-controller gauge readings (empty when not pipelined)."""
-        if self.pipeline.depth <= 1:
-            return {}
-        return self.pacing.snapshot(self.now)
 
     def _local_timeout(self) -> float:
         """Local timeout with exponential backoff over successive views.
@@ -723,24 +705,8 @@ class PbftReplica(Node):
             self.cancel_timer(f"request-{request.transaction.txn_id}")
         self._ledger_pending[sequence] = digest
         self._drain_ledger()
-        if self.pipeline.depth > 1:
-            self.pacing.note_commit(self.now, sequence)
-        if not self._defer_slot_release(sequence, digest):
-            self._close_slot(sequence)
+        self._close_slot(sequence)
         self._on_batch_committed(view, sequence, digest, batch)
-
-    def _defer_slot_release(self, sequence: int, digest: bytes) -> bool:
-        """Hook: whether a committed slot stays open past local commit.
-
-        The base protocol frees a slot at commit time -- consensus on the
-        sequence is over.  A meta protocol may keep it open while the batch
-        still has cross-shard work in flight, which turns the proposal window
-        into a speculation bound: a primary cannot launch more concurrent
-        cross-shard batches than it has slots, so ``depth`` back-pressures the
-        ring instead of only the local three-phase pipeline.  A subclass that
-        returns True owns the matching :meth:`_close_slot` call.
-        """
-        return False
 
     def _drain_ledger(self) -> None:
         """Append committed batches to the ledger strictly in sequence order.
@@ -1178,8 +1144,10 @@ class PbftReplica(Node):
         # The old view's proposal window is void: every in-flight sequence is
         # either re-proposed below (prepared certificate survived) or
         # abandoned as a no-op, so the window restarts empty in the new view.
+        # Batches queued for a slot go with it: the old primary is demoted,
+        # and the new one re-drives them in _resubmit_pending_requests.
         self._open_slots.clear()
-        self.pacing.note_reset(self.now)
+        self._admission_queue.clear()
         highest = max(
             [p.sequence for p in message.reproposals]
             + [s for s in message.abandoned]
@@ -1221,7 +1189,7 @@ class PbftReplica(Node):
             return
         self.cancel_timer(f"slot-{sequence}")
         self._abandoned_sequences.add(sequence)
-        self._close_slot(sequence, committed=False)
+        self._close_slot(sequence)
         self._execute_ready_batches()
         self._drain_ledger()
         for unblocked in self.locks.skip_sequence(sequence):

@@ -111,32 +111,6 @@ class RingBftReplica(PbftReplica):
             return False
         return batch[0].transaction.is_cross_shard
 
-    def _defer_slot_release(self, sequence: int, digest: bytes) -> bool:
-        """Keep a pipelined cross-shard batch's slot open until its fragment
-        executes.
-
-        A cross-shard batch is still speculative after local commit: its locks
-        are held through the Forward/Execute rotations, and a primary that
-        keeps proposing into freed slots floods the ring with singleton
-        rotations.  Holding the slot makes ``PipelineConfig.depth`` the bound
-        on concurrent cross-shard batches in flight from this primary -- the
-        rate-shaped pump then sees the true (rotation-length) slot latency and
-        sizes batches for it.  The matching close is in
-        :meth:`_execute_cross_fragment` (success) and
-        :meth:`_on_transmit_timeout` (forward retransmissions exhausted);
-        a view change clears the window wholesale.
-        """
-        if self.pipeline.depth <= 1 or sequence not in self._open_slots:
-            return False
-        if not self.pacing.window_sustainable():
-            # Below the sustain threshold the window is latency-bound, not
-            # throughput-bound: holding a slot through a ~100 ms rotation
-            # would only stall the (mostly idle) pipeline.  Eager release is
-            # the proven regime there -- same rule as the pump's fallback.
-            return False
-        batch = self.batches.get(digest, ())
-        return bool(batch) and batch[0].transaction.is_cross_shard
-
     def _on_batch_committed(self, view, sequence, digest, batch) -> None:
         """Lock data fragments in sequence order, then execute or forward."""
         if not batch:
@@ -278,11 +252,6 @@ class RingBftReplica(PbftReplica):
                 record.retransmissions_exhausted = True
                 self.forward_give_ups += 1
                 self.stats.record_dropped_request("forward-retransmissions-exhausted")
-                if record.sequence is not None:
-                    # Give the abandoned rotation's window slot back so the
-                    # primary is not wedged below depth forever (the record
-                    # itself stays pending for the operator).
-                    self._close_slot(record.sequence, committed=False)
             return
         record.retransmissions += 1
         self._send_forward(record)
@@ -365,9 +334,8 @@ class RingBftReplica(PbftReplica):
             return
         if not record.consensus_started:
             record.consensus_started = True
-            if self.is_primary and not self.byzantine_silent:
-                self._propose(message.requests)
-            elif not self.is_primary:
+            self._admit(message.requests)
+            if not self.is_primary:
                 # Expect our primary to propose the forwarded batch; otherwise
                 # view-change (attack A2 applied to forwarded requests).
                 self.set_timer(
@@ -428,9 +396,6 @@ class RingBftReplica(PbftReplica):
         self.log.mark(record.commit_view, record.sequence, SlotState.EXECUTED)
         self.cancel_timer(f"transmit-{record.batch_digest.hex()}")
         self._release_lock_token(record.batch_digest.hex())
-        # The deferred window slot (see _defer_slot_release): this shard's
-        # speculative cross-shard work is done, the slot can take new work.
-        self._close_slot(record.sequence)
         self._maybe_checkpoint(record.sequence, tuple(transactions))
         self._send_execute(record)
         self._maybe_retire_record(record)
@@ -554,7 +519,7 @@ class RingBftReplica(PbftReplica):
                 continue
             if self.is_primary and not self.byzantine_silent:
                 record.consensus_started = True
-                self._propose(record.requests)
+                self._admit(record.requests)
             elif not self.is_primary and record.consensus_started:
                 # Give the new primary a chance before escalating again.
                 self.set_timer(

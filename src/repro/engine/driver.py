@@ -273,8 +273,8 @@ class PoissonSaturationDriver:
     Two readings matter and both are taken at the *end of injection*, before
     the drain: :attr:`sustained_tps` (in-window completions per second) and
     :attr:`steady_pipeline_stats` (the proposal-window gauges while the load
-    was still applied -- after the drain the pacing EWMAs decay toward the
-    idle regime and stop describing the run).
+    was still applied -- the drain's trailing timer flushes would otherwise
+    dilute the batch-size and queue-delay averages).
     """
 
     deployment: Deployment

@@ -110,9 +110,7 @@ def summarize_pipeline(replicas) -> dict[str, float | int]:
     txns = 0
     delayed = 0
     delay_total = 0.0
-    shaped = 0
-    fallback = 0
-    pacing_rows: list[dict[str, float | int]] = []
+    arrival_rate = 0.0
     for replica in replicas:
         peak = max(peak, getattr(replica, "peak_open_slots", 0))
         open_now += getattr(replica, "open_slot_count", 0)
@@ -120,42 +118,18 @@ def summarize_pipeline(replicas) -> dict[str, float | int]:
         txns += getattr(replica, "proposed_txn_count", 0)
         delayed += getattr(replica, "proposed_request_count", 0)
         delay_total += getattr(replica, "queue_delay_total", 0.0)
-        shaped += getattr(replica, "shaped_batch_count", 0)
-        fallback += getattr(replica, "fallback_batch_count", 0)
-        row = getattr(replica, "pacing_stats", None)
-        if row and getattr(replica, "proposed_batch_count", 0):
-            pacing_rows.append(row)
-    report: dict[str, float | int] = {
+        pacing = getattr(replica, "pacing", None)
+        if pacing is not None:
+            # Per-primary offered load (zero at depth=1, where it is not fed).
+            arrival_rate += pacing.rate_tps
+    return {
         "peak_open_slots": peak,
         "open_slots_now": open_now,
         "proposed_batches": batches,
         "avg_batch_size": round(txns / batches, 2) if batches else 0.0,
         "avg_queue_delay_s": round(delay_total / delayed, 6) if delayed else 0.0,
-        "shaped_batches": shaped,
-        "fallback_batches": fallback,
+        "ewma_arrival_rate_tps": round(arrival_rate, 1),
     }
-    if pacing_rows:
-        # Occupancy-controller gauges, aggregated over the replicas that
-        # actually proposed (primaries): occupancy and EWMA latency average
-        # across them, arrival rate sums (it is a per-primary offered load),
-        # and the ceiling reports the highest currently derived.
-        count = len(pacing_rows)
-        report["slot_occupancy"] = round(
-            sum(float(r.get("slot_occupancy", 0.0)) for r in pacing_rows) / count, 2
-        )
-        report["batch_ceiling"] = int(
-            max(int(r.get("batch_ceiling", 0)) for r in pacing_rows)
-        )
-        report["ewma_commit_latency_s"] = round(
-            sum(float(r.get("ewma_commit_latency_s", 0.0)) for r in pacing_rows) / count, 6
-        )
-        report["ewma_slot_hold_s"] = round(
-            sum(float(r.get("ewma_slot_hold_s", 0.0)) for r in pacing_rows) / count, 6
-        )
-        report["ewma_arrival_rate_tps"] = round(
-            sum(float(r.get("ewma_arrival_rate_tps", 0.0)) for r in pacing_rows), 1
-        )
-    return report
 
 
 def format_pipeline_stats(stats: dict[str, float | int], depth: int) -> list[str]:
@@ -167,18 +141,10 @@ def format_pipeline_stats(stats: dict[str, float | int], depth: int) -> list[str
         f"avg queue delay {1e3 * stats.get('avg_queue_delay_s', 0.0):.1f} ms"
         " per request before proposal",
     ]
-    if "slot_occupancy" in stats:
+    if depth > 1:
         lines.append(
-            f"pacing: {stats.get('slot_occupancy', 0.0)} slots busy (time-avg),"
-            f" batch ceiling {stats.get('batch_ceiling', 0)},"
-            f" EWMA commit {1e3 * float(stats.get('ewma_commit_latency_s', 0.0)):.1f} ms"
-            f" / arrivals {stats.get('ewma_arrival_rate_tps', 0.0)}/s"
-        )
-    shaped = stats.get("shaped_batches", 0)
-    fallback = stats.get("fallback_batches", 0)
-    if shaped or fallback:
-        lines.append(
-            f"pump modes: {shaped} shaped batches, {fallback} eager-fallback batches"
+            f"arrivals {stats.get('ewma_arrival_rate_tps', 0.0)}/s"
+            " (EWMA over primaries, picks the batching rule)"
         )
     return lines
 

@@ -364,6 +364,37 @@ class TestLockDisciplineRules:
         report = run_analysis(tmp_path, select=("cross-order-site",))
         assert len(report.findings) == 2
 
+    def test_direct_propose_outside_admission_flagged(self, tmp_path):
+        # The shape RingBFT and AHL had: a subclass proposing a forwarded
+        # batch itself, past the window.
+        _write(
+            tmp_path,
+            "src/repro/core/snippet.py",
+            "class RingReplica:\n"
+            "    def _handle_forward(self, message):\n"
+            "        self._propose(message.requests)\n",
+        )
+        report = run_analysis(tmp_path, select=("propose-site",))
+        assert len(report.findings) == 1
+        assert report.findings[0].symbol == "RingReplica._handle_forward"
+
+    def test_admission_and_pump_may_propose(self, tmp_path):
+        _write(
+            tmp_path,
+            "src/repro/consensus/pbft/replica.py",
+            "class PbftReplica:\n"
+            "    def _admit(self, batch):\n"
+            "        self._propose(batch)\n"
+            "    def _pump_pipeline(self, reason):\n"
+            "        self._propose(self._admission_queue.popleft())\n"
+            "    def _resubmit_pending_requests(self):\n"
+            "        self._propose(())\n",
+        )
+        report = run_analysis(tmp_path, select=("propose-site",))
+        assert [f.symbol for f in report.findings] == [
+            "PbftReplica._resubmit_pending_requests"
+        ]
+
 
 # ---------------------------------------------------------------------------
 # pragmas

@@ -62,6 +62,41 @@ class TestStageAndTake:
         assert batcher.pending == 1
 
 
+class TestTakeFull:
+    def test_full_group_ships_past_an_older_partial_one(self):
+        # take() pops the oldest group even when a different one is full;
+        # take_full() must not let a minority shard set hold a batch back.
+        batcher = Batcher(batch_size=8)
+        batcher.stage(_request("cross-1", shards=(0, 1)))
+        for name in ("a", "b", "c"):
+            batcher.stage(_request(name))
+        assert batcher.take_full(4) is None
+        batcher.stage(_request("d"))
+        batcher.stage(_request("e"))
+        batch = batcher.take_full(4)
+        assert [r.transaction.txn_id for r in batch] == ["a", "b", "c", "d"]
+        assert batcher.pending == 2
+        assert [r.transaction.txn_id for r in batcher.take(4)] == ["cross-1"]
+        assert [r.transaction.txn_id for r in batcher.take(4)] == ["e"]
+        assert batcher.pending == 0
+
+    def test_running_count_matches_every_exit(self):
+        batcher = Batcher(batch_size=3)
+        for i in range(3):
+            batcher.add(_request(f"a{i}"))  # closes at fill
+        assert batcher.pending == 0
+        for i in range(5):
+            batcher.stage(_request(f"s{i}"))
+        batcher.stage(_request("x", shards=(0, 1)))
+        assert batcher.pending == 6
+        batcher.take_full(2)
+        assert batcher.pending == 4
+        batcher.take(10)
+        assert batcher.pending == 1
+        batcher.flush()
+        assert batcher.pending == 0
+
+
 class TestEvenSplit:
     def test_balanced_chunks_not_remainder_crumbs(self):
         # 9 requests at max 4 become 3+3+3, never 4+4+1.

@@ -1,200 +1,77 @@
-"""Unit tests for the slot-occupancy controller and the window gauges.
+"""Unit tests for the arrival-rate estimator and the window gauges.
 
-The controller is a pure function of its event feed (no clock, no RNG), so
-every behaviour here is pinned with hand-fed event sequences: estimator
-convergence, the shaped/eager regime boundary, the batch-ceiling clamps, and
-the view-change reset.  The depth=1 ``peak_open_slots`` gauge is pinned
-separately because its reading of 2 looks like an off-by-one and is not --
-see ``TestLegacyWindowGauge``.
+The estimator is a pure function of its event feed (no clock, no RNG), so
+every behaviour here is pinned with hand-fed arrival times: convergence,
+burst handling, warm-up, and the boundary between the pump's two batching
+rules.  The depth=1 ``peak_open_slots`` gauge is pinned separately because its
+reading of 2 looks like an off-by-one and is not -- see
+``TestLegacyWindowGauge``.
 """
 
 import pytest
 
 from repro.config import PipelineConfig, SystemConfig, WorkloadConfig
-from repro.consensus.pbft.pacing import SlotOccupancyController
+from repro.consensus.pbft.pacing import WARMUP_SAMPLES, ArrivalRateEstimator
 from repro.engine.deployment import Deployment
 from repro.engine.driver import WorkloadDriver
 from repro.workloads.ycsb import YcsbWorkloadGenerator
 
 
-def _controller(**overrides) -> SlotOccupancyController:
-    params = dict(
-        depth=4,
-        min_batch=1,
-        max_batch=16,
-        ewma_alpha=0.2,
-        latency_prior_s=0.005,
-        sustain_threshold=1.0,
-    )
-    params.update(overrides)
-    return SlotOccupancyController(**params)
+def _fed(rate_tps: float, count: int = 200) -> ArrivalRateEstimator:
+    estimator = ArrivalRateEstimator()
+    for i in range(count):
+        estimator.note_arrival(i / rate_tps)
+    return estimator
 
 
 class TestArrivalRateEstimator:
     def test_no_samples_reads_zero(self):
-        assert _controller().arrival_rate_tps == 0.0
+        assert ArrivalRateEstimator().rate_tps == 0.0
 
     def test_uniform_arrivals_converge_to_rate(self):
-        ctl = _controller()
-        for i in range(200):
-            ctl.note_arrival(i * 0.01)  # 100/s
-        assert ctl.arrival_rate_tps == pytest.approx(100.0, rel=0.01)
+        assert _fed(100.0).rate_tps == pytest.approx(100.0, rel=0.01)
 
     def test_burst_then_gap_averages_not_explodes(self):
         # A burst of N same-instant arrivals followed by one real gap must
         # read as the sustained rate, not as N divided by the tiny gap.
-        ctl = _controller()
+        estimator = ArrivalRateEstimator()
         now = 0.0
         for _ in range(50):  # 50 rounds of: 4 arrivals at once, then 40 ms
             for _ in range(4):
-                ctl.note_arrival(now)
+                estimator.note_arrival(now)
             now += 0.04  # sustained: 100/s
         # Phase-dependent (the feed ends just after the zero-gap burst, which
         # biases the smoothed gap low), so pin the order of magnitude: close
         # to 100/s and nowhere near burst-size-over-one-gap (= 400/s+).
-        assert 70.0 <= ctl.arrival_rate_tps <= 200.0
+        assert 70.0 <= estimator.rate_tps <= 200.0
 
     def test_all_zero_gaps_read_zero_not_infinity(self):
-        ctl = _controller()
+        estimator = ArrivalRateEstimator()
         for _ in range(10):
-            ctl.note_arrival(5.0)
-        assert ctl.arrival_rate_tps == 0.0
+            estimator.note_arrival(5.0)
+        assert estimator.rate_tps == 0.0
 
+    def test_cold_estimator_reads_zero_until_warm(self):
+        # A closed-loop window priming every client at t=0 must not read as
+        # sustained pressure: no verdict before WARMUP_SAMPLES gaps.
+        assert _fed(10_000.0, count=WARMUP_SAMPLES).rate_tps == 0.0
+        assert _fed(10_000.0, count=WARMUP_SAMPLES + 1).rate_tps > 0.0
 
-class TestLatencyAndHoldEstimators:
-    def test_commit_latency_sampled_at_commit_not_release(self):
-        # A deferred cross-shard slot: commit after 1 ms, release after 60 ms.
-        # L must read the consensus round, H the occupancy.
-        ctl = _controller()
-        for seq in range(1, 20):
-            t = seq * 0.1
-            ctl.note_propose(t, seq)
-            ctl.note_commit(t + 0.001, seq)
-            ctl.note_close(t + 0.060, seq)
-        assert ctl.commit_latency_s == pytest.approx(0.001, rel=0.01)
-        assert ctl.slot_hold_s == pytest.approx(0.060, rel=0.05)
-
-    def test_abandoned_slot_never_samples(self):
-        ctl = _controller()
-        ctl.note_propose(0.0, 1)
-        ctl.note_close(5.0, 1, committed=False)  # a 5 s fault timeout
-        assert ctl.commit_latency_s == pytest.approx(0.005)  # still the prior
-        assert ctl.slot_hold_s == pytest.approx(0.005)
-
-    def test_reset_forgets_open_slots_but_keeps_estimates(self):
-        ctl = _controller()
-        for seq in range(1, 12):
-            ctl.note_propose(seq * 0.01, seq)
-            ctl.note_commit(seq * 0.01 + 0.002, seq)
-            ctl.note_close(seq * 0.01 + 0.002, seq)
-        latency_before = ctl.commit_latency_s
-        ctl.note_propose(0.5, 99)
-        ctl.note_reset(0.6)  # view change voids the window
-        # The orphaned slot is gone: closing it later must not sample a
-        # bogus latency.
-        ctl.note_close(9.9, 99)
-        assert ctl.commit_latency_s == latency_before
+    def test_identical_feeds_give_identical_estimates(self):
+        assert _fed(333.0).rate_tps == _fed(333.0).rate_tps
 
 
 class TestRegimeBoundary:
-    def _warm(self, ctl, rate_tps, latency_s):
-        gap = 1.0 / rate_tps
-        now = 0.0
-        for seq in range(1, 12):
-            ctl.note_arrival(now)
-            ctl.note_propose(now, seq)
-            ctl.note_commit(now + latency_s, seq)
-            ctl.note_close(now + latency_s, seq)
-            now += gap
-        return ctl
+    def test_slow_arrivals_cannot_fill_a_batch(self):
+        # 100/s against a 50 ms budget: 5 requests, short of a batch of 8.
+        assert not _fed(100.0).fills_within(8, 0.05)
 
-    def test_low_demand_stays_eager(self):
-        # 100/s against 1 ms rounds: demand 0.1 slots, nowhere near 1.
-        ctl = self._warm(_controller(), 100.0, 0.001)
-        assert ctl.warmed_up()
-        assert not ctl.window_sustainable()
+    def test_fast_arrivals_fill_a_batch(self):
+        # 400/s against a 50 ms budget: 20 requests.
+        assert _fed(400.0).fills_within(8, 0.05)
 
-    def test_high_demand_engages_shaped(self):
-        # 2000/s against 1 ms rounds: demand 2 slots.
-        ctl = self._warm(_controller(), 2000.0, 0.001)
-        assert ctl.window_sustainable()
-
-    def test_cold_controller_never_shaped(self):
-        ctl = _controller()
-        assert not ctl.window_sustainable()
-
-    def test_warmup_requires_both_estimators(self):
-        ctl = _controller()
-        for i in range(20):
-            ctl.note_arrival(i * 0.0001)  # plenty of rate samples
-        assert not ctl.warmed_up()  # no latency samples yet
-
-
-class TestBatchCeiling:
-    def test_ceiling_spreads_slot_demand_over_depth(self):
-        ctl = _controller(depth=4)
-        # lam=2000/s, H=16 ms -> slot demand 32 -> 8 per slot at depth 4.
-        for seq in range(1, 12):
-            t = seq * 0.0005
-            ctl.note_arrival(t)
-            ctl.note_propose(t, seq)
-            ctl.note_commit(t + 0.001, seq)
-            ctl.note_close(t + 0.016, seq)
-        assert ctl.batch_ceiling() == pytest.approx(8, abs=1)
-
-    def test_ceiling_never_exceeds_max_batch(self):
-        ctl = _controller(depth=1, max_batch=16)
-        for seq in range(1, 12):
-            t = seq * 0.0001  # 10k/s against long holds: huge demand
-            ctl.note_arrival(t)
-            ctl.note_propose(t, seq)
-            ctl.note_commit(t + 0.001, seq)
-            ctl.note_close(t + 0.1, seq)
-        assert ctl.batch_ceiling() == 16
-
-    def test_ceiling_floor_is_two_no_crumbs(self):
-        ctl = _controller()  # cold: demand 0
-        assert ctl.batch_ceiling() == 2
-
-    def test_ceiling_respects_min_batch(self):
-        ctl = _controller(min_batch=5)
-        assert ctl.batch_ceiling() == 5
-
-
-class TestOccupancyGauge:
-    def test_single_slot_half_busy(self):
-        ctl = _controller()
-        ctl.note_propose(0.0, 1)
-        ctl.note_close(1.0, 1)
-        ctl.note_propose(1.0, 2)
-        ctl.note_close(2.0, 2)
-        # Two slots busy back-to-back over [0, 4]: time-average 0.5.
-        assert ctl.occupancy(4.0) == pytest.approx(0.5)
-
-    def test_snapshot_keys_are_stable(self):
-        snap = _controller().snapshot(0.0)
-        assert set(snap) == {
-            "slot_occupancy",
-            "batch_ceiling",
-            "ewma_commit_latency_s",
-            "ewma_slot_hold_s",
-            "ewma_arrival_rate_tps",
-            "inflight_demand",
-        }
-
-
-class TestDeterminism:
-    def test_identical_event_feeds_identical_state(self):
-        def feed(ctl):
-            for seq in range(1, 30):
-                t = seq * 0.003
-                ctl.note_arrival(t)
-                ctl.note_propose(t, seq)
-                ctl.note_commit(t + 0.001, seq)
-                ctl.note_close(t + 0.002, seq)
-            return ctl.snapshot(0.1)
-
-        assert feed(_controller()) == feed(_controller())
+    def test_cold_estimator_never_sustained(self):
+        assert not ArrivalRateEstimator().fills_within(1, 10.0)
 
 
 class TestLegacyWindowGauge:
