@@ -21,10 +21,30 @@ their encoded key bytes (total and type-safe, unlike comparing mixed-type
 keys), and registered dataclasses round-trip losslessly through
 :func:`decode_canonical`.
 
+A dataclass travels as an *object frame*::
+
+    O | u32 name length | class name | u32 body length | body
+    body = (u32 field-name length | field name | field value) per field,
+           in declaration order
+
+The body length lets a decoder find where a nested value ends without
+parsing it, which is what makes the two per-process caches below possible:
+
+* **memoised nested encodes** -- the bytes of a frozen dataclass are recorded
+  on the object (``_wire_memo``) the first time it is encoded or decoded, so
+  a PrePrepare or Forward built from requests the process already holds
+  splices their bytes verbatim, and relaying a received message re-sends the
+  slice it arrived in;
+* **interned nested values** -- the immutable values nested inside other
+  messages (:data:`INTERNED_WIRE_TYPES`) are looked up by their exact frame
+  bytes in one bounded table (:data:`INTERN`), so the same batch arriving in
+  a PrePrepare and again in every relayed Forward is built once, and its
+  payload/digest memos warm once.
+
 The module also hosts the process-wide codec statistics (payload/digest memo
-hit counters surfaced through ``RunResult`` and the CLI) and the *legacy
-mode* switch used by ``benchmarks/bench_hotpath.py`` to reproduce the pre-
-codec cost profile for an honest before/after comparison.
+and intern-table counters surfaced through ``RunResult`` and the CLI) and the
+*legacy mode* switch used by ``benchmarks/bench_hotpath.py`` to reproduce the
+pre-codec cost profile for an honest before/after comparison.
 """
 
 from __future__ import annotations
@@ -33,8 +53,9 @@ import enum
 import hashlib
 import json
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import MalformedMessageError
 
@@ -190,28 +211,74 @@ _ENCODERS: dict[type, Callable[[Any, list[bytes]], None]] = {
     set: _encode_frozenset,
 }
 
-#: Per-dataclass encoding plan: (object header, per-field name headers, names).
-_DATACLASS_PLANS: dict[type, tuple[bytes, tuple[bytes, ...], tuple[str, ...]]] = {}
+#: Registered types whose decoded instances are shared through :data:`INTERN`
+#: when they arrive nested inside another object frame.  Each is immutable,
+#: and every memo it carries is a pure function of its bytes, so handing one
+#: object to every holder is what the simulator already does.  Messages that
+#: travel on their own (a deliver envelope's payload) are never interned:
+#: the envelope attaches per-delivery MAC tags to them.
+INTERNED_WIRE_TYPES = frozenset(
+    {"Transaction", "ClientRequest", "CommitCertificate", "Signature", "ReplicaId"}
+)
 
 
-def _dataclass_plan(cls: type) -> tuple[bytes, tuple[bytes, ...], tuple[str, ...]]:
+class _ObjectPlan(NamedTuple):
+    """How one dataclass is framed: the constant bytes and the cache policy."""
+
+    header: bytes  # tag + class name; the body length follows
+    field_headers: tuple[bytes, ...]  # u32 length + name, per field
+    names: tuple[str, ...]
+    memoize: bool  # frozen with a __dict__: bytes recorded in ``_wire_memo``
+    interned: bool  # nested instances go through INTERN
+
+
+_DATACLASS_PLANS: dict[type, _ObjectPlan] = {}
+
+
+def _dataclass_plan(cls: type) -> _ObjectPlan:
     plan = _DATACLASS_PLANS.get(cls)
     if plan is None:
         name = cls.__name__.encode()
         names = tuple(f.name for f in fields(cls))
-        header = _OBJECT + _pack_len(len(name)) + name + _pack_len(len(names))
-        field_headers = tuple(
-            _pack_len(len(n.encode())) + n.encode() for n in names
+        frozen: bool = getattr(cls, "__dataclass_params__").frozen
+        memoize = frozen and "__slots__" not in vars(cls)
+        plan = _ObjectPlan(
+            header=_OBJECT + _pack_len(len(name)) + name,
+            field_headers=tuple(_pack_len(len(n.encode())) + n.encode() for n in names),
+            names=names,
+            memoize=memoize,
+            interned=memoize and cls.__name__ in INTERNED_WIRE_TYPES,
         )
-        plan = (header, field_headers, names)
         _DATACLASS_PLANS[cls] = plan
     return plan
 
 
+def _encode_object(value: Any, plan: _ObjectPlan) -> bytes:
+    """One object frame, produced at most once per frozen object."""
+    if plan.memoize:
+        cached = value.__dict__.get("_wire_memo")
+        if cached is not None:
+            return cached
+    parts = [plan.header, b""]
+    for field_header, fname in zip(plan.field_headers, plan.names):
+        parts.append(field_header)
+        _encode_into(getattr(value, fname), parts)
+    parts[1] = _pack_len(sum(map(len, parts)) - len(plan.header))
+    encoded = b"".join(parts)
+    if plan.memoize:
+        object.__setattr__(value, "_wire_memo", encoded)
+    return encoded
+
+
 def _encode_into(value: Any, out: list[bytes]) -> None:
-    encoder = _ENCODERS.get(type(value))
+    kind = type(value)
+    encoder = _ENCODERS.get(kind)
     if encoder is not None:
         encoder(value, out)
+        return
+    plan = _DATACLASS_PLANS.get(kind)
+    if plan is not None:
+        out.append(_encode_object(value, plan))
         return
     if value is None:
         out.append(_NONE)
@@ -224,11 +291,7 @@ def _encode_into(value: Any, out: list[bytes]) -> None:
         _encode_into(value.value, out)
         return
     if is_dataclass(value):
-        header, field_headers, names = _dataclass_plan(type(value))
-        out.append(header)
-        for field_header, fname in zip(field_headers, names):
-            out.append(field_header)
-            _encode_into(getattr(value, fname), out)
+        out.append(_encode_object(value, _dataclass_plan(kind)))
         return
     if isinstance(value, int):  # int subclasses outside the Enum machinery
         _encode_int(int(value), out)
@@ -283,7 +346,7 @@ def compile_fixed_dict(
     such a key must already be canonical codec bytes (e.g. a nested
     envelope's memoised ``payload_bytes()`` or a :func:`list_frame`) and is
     inserted verbatim.  This is what lets the rich envelopes
-    (ClientRequest/Forward/Transaction) reuse the encoding work of their
+    (ClientRequest/Transaction) reuse the encoding work of their
     parts instead of re-walking nested structures; the caller is responsible
     for splicing only well-formed canonical frames.
     """
@@ -375,7 +438,16 @@ def _read_len(data: bytes, pos: int) -> tuple[int, int]:
     return _U32.unpack_from(data, pos)[0], end
 
 
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
+def _decode_from(
+    data: bytes, pos: int, pending: dict[bytes, Any], nested: bool
+) -> tuple[Any, int]:
+    """Decode the value starting at ``pos``; return it and the position after it.
+
+    ``nested`` is true inside an object frame, where values of the
+    :data:`INTERNED_WIRE_TYPES` are shared through :data:`INTERN`.  Values
+    first built by this decode are collected in ``pending`` and only enter
+    the table once the whole input has decoded cleanly.
+    """
     if pos >= len(data):
         raise MalformedMessageError("truncated canonical encoding")
     tag = data[pos : pos + 1]
@@ -423,8 +495,8 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         count, pos = _read_len(data, pos)
         items = []
         for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            val, pos = _decode_from(data, pos)
+            key, pos = _decode_from(data, pos, pending, nested)
+            val, pos = _decode_from(data, pos, pending, nested)
             items.append((key, val))
         result = dict(items)
         if len(result) != count:
@@ -436,14 +508,14 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         count, pos = _read_len(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_from(data, pos)
+            item, pos = _decode_from(data, pos, pending, nested)
             items.append(item)
         return items, pos
     if tag == _TUPLE:
         count, pos = _read_len(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_from(data, pos)
+            item, pos = _decode_from(data, pos, pending, nested)
             items.append(item)
         return tuple(items), pos
     if tag == _FROZENSET:
@@ -452,7 +524,7 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         previous = None
         for _ in range(count):
             start = pos
-            item, pos = _decode_from(data, pos)
+            item, pos = _decode_from(data, pos, pending, nested)
             encoded = data[start:pos]
             # Encode sorts elements by their encoded bytes (and a set cannot
             # hold duplicates), so anything but a strictly increasing element
@@ -466,7 +538,7 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         length, pos = _read_len(data, pos)
         name = data[pos : pos + length].decode()
         pos += length
-        value, pos = _decode_from(data, pos)
+        value, pos = _decode_from(data, pos, pending, nested)
         cls = _WIRE_TYPES.get(name)
         if cls is None:
             raise MalformedMessageError(f"unknown enum wire type {name!r}")
@@ -474,38 +546,65 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
             raise MalformedMessageError(f"wire type {name!r} is not an enum")
         return cls(value), pos
     if tag == _OBJECT:
-        length, pos = _read_len(data, pos)
-        name = data[pos : pos + length].decode()
-        pos += length
-        count, pos = _read_len(data, pos)
-        cls = _WIRE_TYPES.get(name)
-        if cls is None:
-            raise MalformedMessageError(f"unknown object wire type {name!r}")
+        return _decode_object(data, pos - 1, pending, nested)
+    raise MalformedMessageError(f"unknown canonical type tag {tag!r}")
+
+
+def _decode_object(
+    data: bytes, start: int, pending: dict[bytes, Any], nested: bool
+) -> tuple[Any, int]:
+    """Decode the object frame at ``start`` (its tag byte)."""
+    length, pos = _read_len(data, start + 1)
+    name = data[pos : pos + length].decode()
+    pos += length
+    cls = _WIRE_TYPES.get(name)
+    if cls is None:
+        raise MalformedMessageError(f"unknown object wire type {name!r}")
+    plan = _DATACLASS_PLANS.get(cls)
+    if plan is None:
         if not is_dataclass(cls):
             raise MalformedMessageError(f"wire type {name!r} is not a dataclass")
-        # Enforce canonical form like the other containers: the encoder emits
-        # exactly the dataclass's fields in declaration order, so a frame with
-        # missing, duplicate, extra, or reordered fields must be rejected --
-        # not silently normalised into an equal object.
-        expected = _dataclass_plan(cls)[2]
-        if count != len(expected):
+        plan = _dataclass_plan(cls)
+    size, pos = _read_len(data, pos)
+    end = pos + size
+    if end > len(data):
+        raise MalformedMessageError(
+            f"object body for {name!r} claims {size} bytes but {len(data) - pos} remain"
+        )
+    key = None
+    if nested and plan.interned:
+        key = data[start:end]
+        shared = INTERN.get(key)
+        if shared is None:
+            shared = pending.get(key)
+        if shared is not None:
+            STATS.intern_hits += 1
+            return shared, end
+        STATS.intern_misses += 1
+    # Enforce canonical form like the other containers: the encoder emits
+    # exactly the dataclass's fields in declaration order, so a frame with
+    # missing, duplicate, extra, or reordered fields must be rejected -- not
+    # silently normalised into an equal object.  The field count is implied
+    # by the class; the body length must be exactly what the fields span.
+    kwargs: dict[str, Any] = {}
+    for fname, field_header in zip(plan.names, plan.field_headers):
+        if not data.startswith(field_header, pos, end):
             raise MalformedMessageError(
-                f"object frame for {name!r} carries {count} fields, expected {len(expected)}"
+                f"object body for {name!r} does not continue with field {fname!r} "
+                "(missing, reordered, duplicate, or cut short)"
             )
-        kwargs = {}
-        for index in range(count):
-            flen, pos = _read_len(data, pos)
-            fname = data[pos : pos + flen].decode()
-            pos += flen
-            if fname != expected[index]:
-                raise MalformedMessageError(
-                    f"non-canonical field order for {name!r}: "
-                    f"got {fname!r}, expected {expected[index]!r}"
-                )
-            value, pos = _decode_from(data, pos)
-            kwargs[fname] = value
-        return cls(**kwargs), pos
-    raise MalformedMessageError(f"unknown canonical type tag {tag!r}")
+        kwargs[fname], pos = _decode_from(data, pos + len(field_header), pending, True)
+    if pos != end:
+        raise MalformedMessageError(
+            f"object body for {name!r} claims {size} bytes but its fields span "
+            f"{size + pos - end}"
+        )
+    value = cls(**kwargs)
+    if plan.memoize:
+        object.__setattr__(value, "_wire_memo", data[start:end] if key is None else key)
+    if key is not None:
+        pending[key] = value
+    return value, end
 
 
 def decode_canonical(data: bytes) -> Any:
@@ -514,10 +613,21 @@ def decode_canonical(data: bytes) -> Any:
     Every malformed input fails with :class:`MalformedMessageError` -- the
     low-level struct/unicode/constructor errors a truncated or corrupted
     frame can trigger are translated, so callers (eventually: a socket
-    transport fed attacker-controlled bytes) have one error to catch.
+    transport fed attacker-controlled bytes) have one error to catch.  A
+    malformed input leaves :data:`INTERN` untouched.
+
+    Every decoded frozen dataclass carries the slice it was decoded from as
+    its ``_wire_memo``, so re-encoding (relaying) it costs nothing.  Values
+    of the :data:`INTERNED_WIRE_TYPES` nested in an object frame may be
+    objects shared with earlier decodes; a value outside any object frame --
+    the top-level value, or a deliver envelope's message -- is always a fresh
+    object.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
+    pending: dict[bytes, Any] = {}
     try:
-        value, pos = _decode_from(data, 0)
+        value, pos = _decode_from(data, 0, pending, False)
     except MalformedMessageError:
         raise
     except (struct.error, ValueError, TypeError, UnicodeDecodeError, IndexError) as exc:
@@ -526,7 +636,64 @@ def decode_canonical(data: bytes) -> Any:
         raise MalformedMessageError(
             f"{len(data) - pos} trailing bytes after canonical value"
         )
+    if pending:
+        INTERN.add_all(pending)
     return value
+
+
+# ---------------------------------------------------------------------------
+# intern table (decoded nested values, shared per process)
+# ---------------------------------------------------------------------------
+
+#: Bounds of :data:`INTERN`.  A value is only worth sharing while copies of it
+#: are still arriving -- a batch's PrePrepare and its relayed Forwards span
+#: one ring rotation -- so the table keeps the most recent few thousand.
+INTERN_MAX_ENTRIES = 4096
+INTERN_MAX_BYTES = 4 * 1024 * 1024
+
+
+class InternTable:
+    """Decoded values keyed by their exact frame bytes, oldest first out.
+
+    Bounded both by entry count and by the total size of the keys; a key
+    larger than the whole byte budget is never stored.  Lookups do not
+    reorder entries, so a failed decode cannot change the table at all.
+    Every decode in this stack runs on one thread (the socket transport's
+    event loop), so the table takes no lock.
+    """
+
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict[bytes, Any] = OrderedDict()
+        #: Total length of the stored keys.
+        self.nbytes = 0
+        #: Lookup by exact frame bytes (the bound method: it runs per nested
+        #: value decoded).
+        self.get = self._entries.get
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add_all(self, fresh: dict[bytes, Any]) -> None:
+        """Store every new entry of ``fresh``, then evict down to the bounds."""
+        entries = self._entries
+        for key, value in fresh.items():
+            if key in entries or len(key) > self.max_bytes:
+                continue
+            entries[key] = value
+            self.nbytes += len(key)
+        while len(entries) > self.max_entries or self.nbytes > self.max_bytes:
+            old, _ = entries.popitem(last=False)
+            self.nbytes -= len(old)
+            STATS.intern_evictions += 1
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+INTERN = InternTable(INTERN_MAX_ENTRIES, INTERN_MAX_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -536,44 +703,46 @@ def decode_canonical(data: bytes) -> Any:
 
 @dataclass
 class CodecStats:
-    """Process-wide counters for the payload/digest memo caches.
+    """Process-wide counters for the payload/digest memos and the intern table.
 
     ``payload_misses`` counts actual encodings, ``payload_hits`` counts calls
-    served from a frozen object's memo; likewise for digests.  The counters
-    are cumulative for the process -- callers interested in one run window
-    snapshot before and delta after (see ``Deployment.collect_result``).
+    served from a frozen object's memo; likewise for digests.  ``intern_*``
+    count lookups of nested values in :data:`INTERN` that returned a shared
+    object (hits) or had to build one (misses), and the entries the table's
+    bounds pushed out (evictions).  The counters are cumulative for the
+    process -- callers interested in one run window snapshot before and
+    delta after (see ``Deployment.collect_result``).
     """
 
     payload_hits: int = 0
     payload_misses: int = 0
     digest_hits: int = 0
     digest_misses: int = 0
+    intern_hits: int = 0
+    intern_misses: int = 0
+    intern_evictions: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "payload_hits": self.payload_hits,
-            "payload_misses": self.payload_misses,
-            "digest_hits": self.digest_hits,
-            "digest_misses": self.digest_misses,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def delta_since(self, before: dict[str, int] | None) -> dict[str, dict[str, int]]:
-        """Hit/miss deltas since ``before``, shaped like ``LruCache.stats()``."""
+        """Deltas since ``before``, one hit/miss mapping per cache (the shape
+        of ``LruCache.stats()``)."""
         base = before or {}
-        payload_hits = self.payload_hits - base.get("payload_hits", 0)
-        payload_misses = self.payload_misses - base.get("payload_misses", 0)
-        digest_hits = self.digest_hits - base.get("digest_hits", 0)
-        digest_misses = self.digest_misses - base.get("digest_misses", 0)
+        d = {name: value - base.get(name, 0) for name, value in self.snapshot().items()}
         return {
-            "payload": {"hits": payload_hits, "misses": payload_misses},
-            "digest": {"hits": digest_hits, "misses": digest_misses},
+            "payload": {"hits": d["payload_hits"], "misses": d["payload_misses"]},
+            "digest": {"hits": d["digest_hits"], "misses": d["digest_misses"]},
+            "intern": {
+                "hits": d["intern_hits"],
+                "misses": d["intern_misses"],
+                "evictions": d["intern_evictions"],
+            },
         }
 
     def reset(self) -> None:
-        self.payload_hits = 0
-        self.payload_misses = 0
-        self.digest_hits = 0
-        self.digest_misses = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
 
 STATS = CodecStats()

@@ -358,9 +358,7 @@ class CommitCertificate:
 
 
 _FORWARD_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Forward"},
-    ("sender", "digest", "origin_shard", "reads", "txns"),
-    raw_keys=("txns",),
+    {"type": "Forward"}, ("sender", "digest", "origin_shard", "reads", "txns")
 )
 
 
@@ -399,9 +397,7 @@ class Forward(Message):
         if cached is not None and not codec.LEGACY.enabled:
             codec.STATS.payload_hits += 1
             return cached
-        txns = codec.list_frame(
-            [codec.encode_canonical(req.transaction.txn_id) for req in self.requests]
-        )
+        txns = [req.transaction.txn_id for req in self.requests]
         return codec.memoized_packed_payload(
             self,
             _FORWARD_LAYOUT,

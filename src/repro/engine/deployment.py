@@ -56,8 +56,10 @@ class RunResult:
     total_messages: int = 0
     ledgers_consistent: bool | None = None
     #: Hit/miss counters of the hot-path caches for this run window:
-    #: ``verify``/``certificate`` (the keystore's signature memo LRUs) and
-    #: ``payload``/``digest`` (the codec's per-object memoisation).
+    #: ``verify``/``certificate`` (the keystore's signature memo LRUs),
+    #: ``payload``/``digest`` (the codec's per-object memoisation) and
+    #: ``intern`` (hits/misses/evictions of the codec's table of decoded
+    #: nested values; zero on the simulator, which never decodes).
     cache_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     #: Proposal-window occupancy aggregated over this process's replicas:
     #: peak open slots, batches proposed, average adaptive batch size, and

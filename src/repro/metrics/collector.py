@@ -65,8 +65,8 @@ def cache_efficiency(cache_stats: dict[str, dict[str, int]]) -> dict[str, dict]:
 
     ``cache_stats`` is the :class:`~repro.engine.deployment.RunResult`
     ``cache_stats`` mapping (``verify``/``certificate`` LRUs plus the codec's
-    ``payload``/``digest`` memo counters).  Empty entries (disabled caches)
-    are dropped.
+    ``payload``/``digest`` memo and ``intern`` table counters).  Empty
+    entries (disabled caches) are dropped.
     """
     report: dict[str, dict] = {}
     for name, stats in cache_stats.items():
@@ -82,9 +82,10 @@ def format_cache_stats(cache_stats: dict[str, dict[str, int]]) -> list[str]:
     """Human-readable one-line-per-cache summary used by the CLI."""
     lines = []
     for name, stats in sorted(cache_efficiency(cache_stats).items()):
+        evictions = f" / {stats['evictions']} evictions" if "evictions" in stats else ""
         lines.append(
             f"{name:12s} {stats['hit_rate'] * 100:6.1f}% hit"
-            f"  ({stats.get('hits', 0)} hits / {stats.get('misses', 0)} misses)"
+            f"  ({stats.get('hits', 0)} hits / {stats.get('misses', 0)} misses{evictions})"
         )
     return lines
 

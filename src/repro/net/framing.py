@@ -34,8 +34,9 @@ from repro.errors import MalformedMessageError
 
 #: First bytes of every frame; anything else on the stream is garbage.
 PROTOCOL_MAGIC = b"RB"
-#: Bumped whenever the envelope shapes or the codec change incompatibly.
-PROTOCOL_VERSION = 1
+#: Bumped whenever the envelope shapes or the codec change incompatibly
+#: (2: object frames carry their body length instead of a field count).
+PROTOCOL_VERSION = 2
 #: Default ceiling on one frame's body.  Generous -- a full state-transfer
 #: snapshot fits -- while still rejecting absurd length prefixes outright.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -81,39 +82,46 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Buffer ``data`` and return every frame body it completed."""
+        """Buffer ``data`` and return every frame body it completed.
+
+        Frames are scanned by offset and the consumed prefix is dropped once
+        per call, so a coalesced read of many frames costs one compaction,
+        not one buffer shift per frame.
+        """
         if self._poisoned:
             raise MalformedMessageError("frame stream already failed; reconnect")
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         bodies: list[bytes] = []
-        while True:
-            if len(self._buffer) < FRAME_HEADER_SIZE:
-                break
-            magic, version, length = _HEADER.unpack_from(self._buffer)
-            if magic != PROTOCOL_MAGIC:
-                self._poisoned = True
-                raise MalformedMessageError(
-                    f"bad frame magic {bytes(magic)!r} (expected {PROTOCOL_MAGIC!r})"
-                )
-            if version != PROTOCOL_VERSION:
-                self._poisoned = True
-                raise MalformedMessageError(
-                    f"unsupported frame protocol version {version} "
-                    f"(this build speaks {PROTOCOL_VERSION})"
-                )
-            if length == 0:
-                self._poisoned = True
-                raise MalformedMessageError("zero-length frame body")
-            if length > self.max_frame:
-                self._poisoned = True
-                raise MalformedMessageError(
-                    f"frame length {length} exceeds the {self.max_frame}-byte limit"
-                )
-            end = FRAME_HEADER_SIZE + length
-            if len(self._buffer) < end:
-                break
-            bodies.append(bytes(self._buffer[FRAME_HEADER_SIZE:end]))
-            del self._buffer[:end]
-            self.frames_decoded += 1
-            self.bytes_consumed += end
+        offset = 0
+        with memoryview(buffer) as view:
+            while len(buffer) - offset >= FRAME_HEADER_SIZE:
+                magic, version, length = _HEADER.unpack_from(buffer, offset)
+                if magic != PROTOCOL_MAGIC:
+                    self._poisoned = True
+                    raise MalformedMessageError(
+                        f"bad frame magic {bytes(magic)!r} (expected {PROTOCOL_MAGIC!r})"
+                    )
+                if version != PROTOCOL_VERSION:
+                    self._poisoned = True
+                    raise MalformedMessageError(
+                        f"unsupported frame protocol version {version} "
+                        f"(this build speaks {PROTOCOL_VERSION})"
+                    )
+                if length == 0:
+                    self._poisoned = True
+                    raise MalformedMessageError("zero-length frame body")
+                if length > self.max_frame:
+                    self._poisoned = True
+                    raise MalformedMessageError(
+                        f"frame length {length} exceeds the {self.max_frame}-byte limit"
+                    )
+                end = offset + FRAME_HEADER_SIZE + length
+                if len(buffer) < end:
+                    break
+                bodies.append(view[offset + FRAME_HEADER_SIZE : end].tobytes())
+                self.frames_decoded += 1
+                self.bytes_consumed += end - offset
+                offset = end
+        del buffer[:offset]
         return bodies

@@ -8,10 +8,13 @@ Two kinds of payload share the frame protocol:
   the sender's *full* MAC vector (labels -> tag bytes; RingBFT's local relay
   means every receiver may need every tag, not just its own), and ``message``
   is the registered protocol dataclass itself.  Decoding rebuilds the message
-  object and re-attaches the tags, so the receiving replica verifies exactly
-  as it would in-process -- per-receiver deserialised copies carry the vector
-  with them, which is what the in-process design promised a socket transport
-  would need.
+  as a fresh object and re-attaches the tags, so the receiving replica
+  verifies exactly as it would in-process -- per-receiver deserialised copies
+  carry the vector with them, which is what the in-process design promised a
+  socket transport would need.  The values nested inside the message
+  (requests, transactions, certificates, signatures, replica ids) may be
+  objects the codec shares with earlier decodes, as the simulator shares
+  them between receivers.
 
 * **Control messages** -- :class:`ControlRequest`/:class:`ControlReply`,
   the tiny coordinator-to-replica plane (readiness pings, metrics scrapes,
@@ -22,7 +25,11 @@ The multicast fast path mirrors the in-process transports: the expensive
 shared suffix (tags + message, i.e. effectively the whole body) is encoded
 once per fan-out and only the per-destination address is encoded per copy --
 :func:`repro.common.codec.tuple_frame` reassembles bytes identical to a
-direct :func:`~repro.common.codec.encode_canonical` of the tuple.
+direct :func:`~repro.common.codec.encode_canonical` of the tuple.  The message
+bytes themselves are memoised by the codec on the frozen message, so a
+retransmission or a relay of a received message re-sends cached bytes.  The
+MAC tag vector is never memoised: tags accrue per audience and are encoded per
+envelope.
 """
 
 from __future__ import annotations
@@ -73,32 +80,9 @@ class ControlReply:
 # ---------------------------------------------------------------------------
 
 
-def _encoded_message(message: Message) -> bytes:
-    """Canonical encoding of ``message``, computed at most once per object.
-
-    Mirrors the payload/digest memos in :mod:`repro.common.codec`: the frozen
-    dataclass's encoding is immutable, so retransmissions of a reused message
-    object (the cached Forward of a retransmission burst, a relayed
-    cross-shard message) skip the codec walk entirely.  The MAC tag vector is
-    *not* part of this memo -- tags accrue per audience and are encoded per
-    envelope.
-    """
-    cached = message.__dict__.get("_wire_memo")
-    if cached is None:
-        cached = codec.encode_canonical(message)
-        object.__setattr__(message, "_wire_memo", cached)
-    return cached
-
-
 def encode_envelope(dst: Hashable, message: Message) -> bytes:
     """Canonical body of one deliver envelope (unframed)."""
-    return codec.tuple_frame(
-        (
-            codec.encode_canonical(dst),
-            codec.encode_canonical(message.auth_tags()),
-            _encoded_message(message),
-        )
-    )
+    return encode_envelope_multi((dst,), message)[0]
 
 
 def encode_envelope_multi(dsts, message: Message) -> list[bytes]:
@@ -109,7 +93,7 @@ def encode_envelope_multi(dsts, message: Message) -> list[bytes]:
     encoded per copy.
     """
     encoded_tags = codec.encode_canonical(message.auth_tags())
-    encoded_message = _encoded_message(message)
+    encoded_message = codec.encode_canonical(message)
     return [
         codec.tuple_frame((codec.encode_canonical(dst), encoded_tags, encoded_message))
         for dst in dsts

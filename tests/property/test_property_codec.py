@@ -3,7 +3,11 @@
 ``decode(encode(m)) == m`` must hold for randomly generated instances of the
 whole protocol message set (core PBFT, RingBFT cross-shard, state transfer,
 and both baselines), and the encoding must be injective over distinct values.
+Decoded values reuse their received bytes and share interned nested values,
+so every memo they carry must equal a from-scratch computation.
 """
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,7 @@ from repro.baselines.ahl.messages import (
     Vote2PC,
 )
 from repro.baselines.sharper.messages import CrossCommit, CrossPrepare, CrossPropose
-from repro.common.codec import decode_canonical, encode_canonical
+from repro.common.codec import decode_canonical, encode_canonical, registered_wire_types
 from repro.common.crypto import Signature
 from repro.common.messages import (
     Checkpoint,
@@ -36,6 +40,7 @@ from repro.common.messages import (
     ViewChange,
 )
 from repro.common.types import ReplicaId
+from repro.net.wire import ControlReply, ControlRequest
 from repro.storage.ledger import Block
 from repro.txn.transaction import Operation, OpType, Transaction
 
@@ -236,6 +241,67 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
 
 any_message = st.one_of(*MESSAGE_STRATEGIES.values())
 
+#: One strategy per registered wire type (messages and the values they nest).
+VALUE_STRATEGIES: dict[str, st.SearchStrategy] = {
+    **MESSAGE_STRATEGIES,
+    "Transaction": transactions,
+    "Operation": operations,
+    "OpType": st.sampled_from(OpType),
+    "Signature": signatures,
+    "ReplicaId": replica_ids,
+    "PreparedProof": prepared_proofs,
+    "Block": blocks,
+    "ControlRequest": st.builds(ControlRequest, op=short_text, data=kv_dicts),
+    "ControlReply": st.builds(ControlReply, op=short_text, ok=st.booleans(), data=kv_dicts),
+}
+
+#: Memoised derivations a decoded value may carry.
+MEMOISED_METHODS = ("payload_bytes", "digest", "signed_payload", "header_bytes", "block_hash")
+
+
+def _fresh(value):
+    """An equal value rebuilt from scratch, so none of its parts has a memo."""
+    if is_dataclass(value):
+        return type(value)(**{f.name: _fresh(getattr(value, f.name)) for f in fields(value)})
+    if isinstance(value, (tuple, list, frozenset)):
+        return type(value)(_fresh(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _fresh(item) for key, item in value.items()}
+    return value
+
+
+def _object_pairs(value, twin):
+    """Walk two equal values in step, yielding each pair of dataclass instances."""
+    if is_dataclass(value):
+        yield value, twin
+        for f in fields(value):
+            yield from _object_pairs(getattr(value, f.name), getattr(twin, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item, twin_item in zip(value, twin):
+            yield from _object_pairs(item, twin_item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _object_pairs(item, twin[key])
+
+
+def _warm(value):
+    for obj, _ in _object_pairs(value, value):
+        for method in MEMOISED_METHODS:
+            if hasattr(obj, method):
+                getattr(obj, method)()
+
+
+def _assert_memos_pure(value, reference):
+    for obj, twin in _object_pairs(value, _fresh(reference)):
+        memo = obj.__dict__.get("_wire_memo")
+        if memo is not None:
+            assert memo == encode_canonical(twin), type(obj).__name__
+        for method in MEMOISED_METHODS:
+            if hasattr(obj, method):
+                assert getattr(obj, method)() == getattr(twin, method)(), (
+                    f"{type(obj).__name__}.{method}"
+                )
+
 
 class TestCodecRoundTrip:
     @pytest.mark.parametrize("type_name", sorted(MESSAGE_STRATEGIES))
@@ -251,6 +317,32 @@ class TestCodecRoundTrip:
     @given(message=any_message)
     def test_encoding_is_deterministic(self, message):
         assert encode_canonical(message) == encode_canonical(message)
+
+
+class TestDecodedValuesArePure:
+    def test_every_registered_type_has_a_strategy(self):
+        assert set(registered_wire_types()) <= set(VALUE_STRATEGIES)
+
+    @pytest.mark.parametrize("type_name", sorted(VALUE_STRATEGIES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_reencoding_a_decoded_value_gives_its_bytes(self, type_name, data):
+        frame = encode_canonical(data.draw(VALUE_STRATEGIES[type_name]))
+        assert encode_canonical(decode_canonical(frame)) == frame
+
+    @pytest.mark.parametrize("type_name", sorted(VALUE_STRATEGIES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_seeded_and_shared_memos_match_a_fresh_computation(self, type_name, data):
+        """Nested in a carrier object, interned values come back from the
+        table on the second decode with the memos the first one warmed."""
+        value = data.draw(VALUE_STRATEGIES[type_name])
+        _assert_memos_pure(decode_canonical(encode_canonical(value)), value)
+        carrier = encode_canonical(ControlRequest(op="carry", data={"v": value}))
+        _warm(decode_canonical(carrier))
+        again = decode_canonical(carrier).data["v"]
+        assert again == value
+        _assert_memos_pure(again, value)
 
 
 class TestCodecInjectivity:

@@ -1,4 +1,7 @@
-"""Unit tests for the canonical binary codec and the payload/digest memos."""
+"""Unit tests for the canonical binary codec, the payload/digest memos and
+the intern table."""
+
+import struct
 
 import pytest
 
@@ -9,7 +12,15 @@ from repro.common.codec import (
     legacy_json_encoding,
     registered_wire_types,
 )
-from repro.common.messages import Checkpoint, Execute, batch_digest
+from repro.common.crypto import Signature
+from repro.common.messages import (
+    Checkpoint,
+    ClientRequest,
+    Commit,
+    Execute,
+    PreparedProof,
+    batch_digest,
+)
 from repro.common.types import ReplicaId
 from repro.errors import MalformedMessageError
 from repro.txn.transaction import OpType, Operation, Transaction, TransactionBuilder
@@ -17,6 +28,42 @@ from repro.txn.transaction import OpType, Operation, Transaction, TransactionBui
 
 def _txn(txn_id="t1", shard=0):
     return TransactionBuilder(txn_id, "client-0").read_modify_write(shard, "user1", "v").build()
+
+
+def _object_frame(entries, name=b"ReplicaId", body_length=None):
+    """A hand-built object frame: ``entries`` are (field name, value) pairs;
+    ``body_length`` overrides the length the frame claims for its body."""
+    body = b"".join(
+        struct.pack(">I", len(fname)) + fname + encode_canonical(value)
+        for fname, value in entries
+    )
+    size = len(body) if body_length is None else body_length
+    return b"O" + struct.pack(">I", len(name)) + name + struct.pack(">I", size) + body
+
+
+def _with_body_length(frame, delta):
+    """``frame`` (a top-level object frame) claiming ``delta`` more body bytes."""
+    at = 5 + struct.unpack_from(">I", frame, 1)[0]
+    (size,) = struct.unpack_from(">I", frame, at)
+    return frame[:at] + struct.pack(">I", size + delta) + frame[at + 4 :]
+
+
+def _requests(prefix, count, value="v"):
+    return tuple(
+        ClientRequest(
+            sender="client-0",
+            transaction=TransactionBuilder(f"{prefix}-{i}", "client-0")
+            .read_modify_write(0, "user1", value)
+            .build(),
+        )
+        for i in range(count)
+    )
+
+
+def _proof(requests):
+    return PreparedProof(
+        sequence=1, view=0, batch_digest=b"\x05" * 32, prepares=3, requests=requests
+    )
 
 
 class TestInjectivity:
@@ -151,8 +198,6 @@ class TestCanonicalForm:
             encode_canonical({float("nan"): "v"})
 
     def test_decoder_rejects_negative_zero_and_nan_frames(self):
-        import struct
-
         with pytest.raises(MalformedMessageError):
             decode_canonical(b"D" + struct.pack(">d", -0.0))
         with pytest.raises(MalformedMessageError):
@@ -194,36 +239,196 @@ class TestCanonicalForm:
         value = {1: "x", "1": "y", b"1": "z"}
         assert decode_canonical(encode_canonical(value)) == value
 
-    @staticmethod
-    def _object_frame(entries):
-        import struct
-
-        name = b"ReplicaId"
-        frame = b"O" + struct.pack(">I", len(name)) + name + struct.pack(">I", len(entries))
-        for fname, value in entries:
-            frame += struct.pack(">I", len(fname)) + fname + encode_canonical(value)
-        return frame
-
     def test_decoder_rejects_reordered_object_fields(self):
-        good = self._object_frame([(b"shard", 1), (b"index", 2)])
+        good = _object_frame([(b"shard", 1), (b"index", 2)])
         assert good == encode_canonical(ReplicaId(shard=1, index=2))
         assert decode_canonical(good) == ReplicaId(shard=1, index=2)
         with pytest.raises(MalformedMessageError):
-            decode_canonical(self._object_frame([(b"index", 2), (b"shard", 1)]))
+            decode_canonical(_object_frame([(b"index", 2), (b"shard", 1)]))
 
     def test_decoder_rejects_duplicate_and_missing_object_fields(self):
         with pytest.raises(MalformedMessageError):
-            decode_canonical(self._object_frame([(b"shard", 1), (b"shard", 1)]))
+            decode_canonical(_object_frame([(b"shard", 1), (b"shard", 1)]))
         with pytest.raises(MalformedMessageError):
-            decode_canonical(self._object_frame([(b"shard", 1)]))
+            decode_canonical(_object_frame([(b"shard", 1)]))
+        with pytest.raises(MalformedMessageError):
+            decode_canonical(_object_frame([(b"shard", 1), (b"index", 2), (b"extra", 3)]))
 
     def test_decoder_rejects_enum_frame_naming_a_non_enum(self):
-        import struct
-
         name = b"ReplicaId"
         frame = b"E" + struct.pack(">I", len(name)) + name + encode_canonical(1)
         with pytest.raises(MalformedMessageError):
             decode_canonical(frame)
+
+
+class TestObjectFrameLength:
+    """The u32 after the class name is the body length, checked exactly."""
+
+    def test_frame_size_is_unchanged_by_the_length_field(self):
+        rid = ReplicaId(shard=1, index=2)
+        frame = encode_canonical(rid)
+        # tag + name + u32 + two (u32 + name + int) fields: the length field
+        # replaced the old u32 field count byte for byte.
+        assert len(frame) == 1 + 4 + 9 + 4 + (4 + 5 + 6) + (4 + 5 + 6)
+        assert struct.unpack_from(">I", frame, 14)[0] == len(frame) - 18
+
+    def test_body_length_overrunning_the_buffer_is_rejected(self):
+        frame = encode_canonical(ReplicaId(shard=1, index=2))
+        with pytest.raises(MalformedMessageError, match="remain"):
+            decode_canonical(_with_body_length(frame, 1))
+        with pytest.raises(MalformedMessageError):
+            decode_canonical(frame[:-1])
+
+    def test_body_length_overrunning_the_enclosing_frame_is_rejected(self):
+        """A nested object that is well-formed on its own but runs past the
+        end its parent claims fails the parent."""
+        signature = Signature(signer="r0@S0", value=b"\x02" * 32)
+        commit = Commit(
+            sender=ReplicaId(0, 0), view=0, sequence=1, batch_digest=b"\x01" * 32,
+            signature=signature,
+        )
+        frame = encode_canonical(commit)
+        assert frame.endswith(encode_canonical(signature))
+        for delta in (-1, -len(encode_canonical(signature)) // 2):
+            with pytest.raises(MalformedMessageError):
+                decode_canonical(_with_body_length(frame, delta))
+
+    def test_body_length_shorter_than_the_fields_is_rejected(self):
+        fields = [(b"shard", 1), (b"index", 2)]
+        size = len(_object_frame(fields)) - 18
+        for short in (0, 4, size - 7, size - 1):
+            frame = _object_frame(fields, body_length=short)
+            with pytest.raises(MalformedMessageError):
+                decode_canonical(frame)
+
+    def test_body_length_longer_than_the_fields_is_rejected(self):
+        fields = [(b"shard", 1), (b"index", 2)]
+        size = len(_object_frame(fields)) - 18
+        for padding in (1, 9):
+            frame = _object_frame(fields, body_length=size + padding) + b"I" * padding
+            with pytest.raises(MalformedMessageError, match="fields span"):
+                decode_canonical(frame)
+
+    def test_decoded_values_carry_the_slice_they_came_from(self):
+        requests = _requests("slice", 2)
+        frame = encode_canonical(_proof(requests))
+        decoded = decode_canonical(frame)
+        assert decoded.__dict__["_wire_memo"] == frame
+        for original, request in zip(requests, decoded.requests):
+            assert request.__dict__["_wire_memo"] == encode_canonical(original)
+            operation = request.transaction.operations[0]
+            assert operation.__dict__["_wire_memo"] == encode_canonical(
+                original.transaction.operations[0]
+            )
+
+
+class TestNestedEncodeMemo:
+    def test_frozen_values_are_encoded_once(self):
+        rid = ReplicaId(shard=3, index=1)
+        assert encode_canonical(rid) is encode_canonical(rid)
+
+    def test_nested_memos_are_spliced_verbatim(self):
+        """An outer encode copies a nested value's recorded bytes instead of
+        walking it again (the memo below is planted to make that visible)."""
+        request, stand_in = _requests("splice", 2)
+        object.__setattr__(request, "_wire_memo", encode_canonical(stand_in))
+        assert encode_canonical(stand_in) in encode_canonical(_proof((request,)))
+
+    def test_non_frozen_dataclasses_are_not_memoised(self):
+        from repro.common.messages import MessageStats
+
+        stats = MessageStats()
+        first = encode_canonical(stats)
+        stats.sent_count["Prepare"] = 1
+        assert encode_canonical(stats) != first
+        assert "_wire_memo" not in vars(stats)
+
+
+class TestInternTable:
+    """Nested immutable values are shared per process, within fixed bounds."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_table(self):
+        codec.INTERN.clear()
+        yield
+        codec.INTERN.clear()
+
+    def test_interned_names_are_registered_frozen_dataclasses(self):
+        registry = registered_wire_types()
+        for name in codec.INTERNED_WIRE_TYPES:
+            cls = registry[name]
+            assert codec._dataclass_plan(cls).interned, name
+
+    def test_nested_values_are_shared_between_decodes(self):
+        frame = encode_canonical(_proof(_requests("shared", 2)))
+        before = codec.STATS.snapshot()
+        first = decode_canonical(frame)
+        second = decode_canonical(frame)
+        assert first is not second  # the top-level value is always fresh
+        assert first.requests[0] is second.requests[0]
+        delta = codec.STATS.delta_since(before)["intern"]
+        assert delta == {"hits": 2, "misses": 4, "evictions": 0}  # request + txn, x2
+
+    def test_a_hit_keeps_memos_warm(self):
+        frame = encode_canonical(_proof(_requests("warm", 1)))
+        digest = decode_canonical(frame).requests[0].transaction.digest()
+        before = codec.STATS.snapshot()
+        again = decode_canonical(frame).requests[0].transaction.digest()
+        assert again is digest
+        assert codec.STATS.delta_since(before)["digest"] == {"hits": 1, "misses": 0}
+
+    def test_top_level_values_are_never_interned(self):
+        request = _requests("top", 1)[0]
+        frame = encode_canonical(request)
+        assert decode_canonical(frame) is not decode_canonical(frame)
+        assert codec.INTERN.get(frame) is None
+        assert codec.INTERN.get(encode_canonical(request.transaction)) is not None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda frame: frame + b"N",  # trailing bytes after a complete value
+            lambda frame: frame[:-1],  # last nested field cut short
+            lambda frame: _with_body_length(frame, 1) + b"N",  # body longer than fields
+        ],
+    )
+    def test_a_malformed_frame_leaves_the_table_unchanged(self, corrupt):
+        requests = _requests("malformed", 3)
+        frame = encode_canonical(_proof(requests))
+        size, nbytes = len(codec.INTERN), codec.INTERN.nbytes
+        with pytest.raises(MalformedMessageError):
+            decode_canonical(corrupt(frame))
+        assert (len(codec.INTERN), codec.INTERN.nbytes) == (size, nbytes)
+        assert all(codec.INTERN.get(encode_canonical(r)) is None for r in requests)
+        decode_canonical(frame)  # control: the valid frame does intern them
+        assert all(codec.INTERN.get(encode_canonical(r)) is not None for r in requests)
+
+    def test_a_flood_of_distinct_values_stays_within_the_entry_bound(self):
+        before = codec.STATS.snapshot()
+        for batch in range(5):
+            decode_canonical(encode_canonical(_proof(_requests(f"flood-{batch}", 600))))
+            assert len(codec.INTERN) <= codec.INTERN_MAX_ENTRIES
+            assert codec.INTERN.nbytes <= codec.INTERN_MAX_BYTES
+        assert len(codec.INTERN) == codec.INTERN_MAX_ENTRIES
+        evicted = codec.STATS.delta_since(before)["intern"]["evictions"]
+        assert evicted == 5 * 600 * 2 - codec.INTERN_MAX_ENTRIES
+
+    def test_a_flood_of_large_values_stays_within_the_byte_bound(self):
+        big = "x" * (256 * 1024)
+        for batch in range(6):
+            decode_canonical(encode_canonical(_proof(_requests(f"big-{batch}", 4, big))))
+            assert codec.INTERN.nbytes <= codec.INTERN_MAX_BYTES
+        assert codec.INTERN.nbytes > codec.INTERN_MAX_BYTES // 2
+        # The newest entries survive, the oldest went first.
+        newest = _requests("big-5", 4, big)[-1]
+        assert codec.INTERN.get(encode_canonical(newest)) is not None
+        oldest = _requests("big-0", 4, big)[0]
+        assert codec.INTERN.get(encode_canonical(oldest)) is None
+
+    def test_a_value_larger_than_the_byte_bound_is_not_stored(self):
+        table = codec.InternTable(max_entries=8, max_bytes=100)
+        table.add_all({b"k" * 101: object(), b"small": object()})
+        assert len(table) == 1 and table.nbytes == 5
 
 
 class TestDigestInjectivityRegression:
@@ -272,8 +477,6 @@ class TestMemoisation:
         assert delta["digest"]["hits"] == 1
 
     def test_batch_digest_reuses_transaction_digests(self):
-        from repro.common.messages import ClientRequest
-
         requests = tuple(
             ClientRequest(sender="client-0", transaction=_txn(f"b-{i}")) for i in range(3)
         )

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import codec
-from repro.common.messages import Prepare
+from repro.common.crypto import Signature
+from repro.common.messages import ClientRequest, Prepare
 from repro.common.types import ReplicaId
 from repro.errors import MalformedMessageError
 from repro.net.framing import (
@@ -31,6 +32,7 @@ from repro.net.wire import (
     encode_envelope_control,
     encode_envelope_multi,
 )
+from repro.txn.transaction import TransactionBuilder
 
 
 def _frame(payload: bytes = b"S\x00\x00\x00\x02hi") -> bytes:
@@ -92,6 +94,17 @@ class TestFrameRoundTrip:
         assert out == bodies
         assert decoder.pending_bytes == 0
 
+    def test_coalesced_read_of_many_frames_leaves_only_the_tail(self):
+        bodies = [codec.encode_canonical(i) for i in range(128)]
+        stream = b"".join(encode_frame(b) for b in bodies)
+        decoder = FrameDecoder()
+        assert decoder.feed(stream + stream[:3]) == bodies
+        assert decoder.pending_bytes == 3
+        assert decoder.frames_decoded == 128
+        assert decoder.bytes_consumed == len(stream)
+        assert decoder.feed(stream[3:]) == bodies
+        assert decoder.pending_bytes == 0
+
     def test_truncated_stream_yields_nothing_until_completed(self):
         frame = _frame()
         decoder = FrameDecoder()
@@ -117,6 +130,19 @@ class TestFrameRejection:
         frame = struct.pack(">2sBI", PROTOCOL_MAGIC, PROTOCOL_VERSION + 1, 2) + b"hi"
         with pytest.raises(MalformedMessageError, match="version"):
             FrameDecoder().feed(frame)
+
+    def test_previous_version_header_is_rejected_and_poisons_the_stream(self):
+        """A v1 peer (object frames carrying a field count) fails at the
+        header, never deep inside a body."""
+        assert PROTOCOL_VERSION == 2
+        body = codec.encode_canonical(_message())
+        decoder = FrameDecoder()
+        valid = encode_frame(body)
+        v1 = struct.pack(">2sBI", PROTOCOL_MAGIC, 1, len(body)) + body
+        with pytest.raises(MalformedMessageError, match="version 1"):
+            decoder.feed(valid + v1)
+        with pytest.raises(MalformedMessageError, match="reconnect"):
+            decoder.feed(valid)
 
     def test_zero_length_frame_rejected(self):
         frame = struct.pack(">2sBI", PROTOCOL_MAGIC, PROTOCOL_VERSION, 0)
@@ -183,6 +209,26 @@ class TestDeliverEnvelope:
         assert first != second  # the new tag is part of the later envelope
         _, decoded = decode_wire_payload(second)
         assert decoded.auth_tag("peer:r3@S0") == b"\x09" * 32
+
+    def test_decoded_messages_never_share_tag_vectors(self):
+        """Two decodes of one envelope give two message objects with their
+        own tags -- even for an interned type (a client's ClientRequest) --
+        while the immutable values nested inside are shared."""
+        txn = TransactionBuilder("alias-0", "client-0").read_modify_write(0, "k", "v").build()
+        request = ClientRequest(
+            sender="client-0", transaction=txn, signature=Signature("client-0", b"\x04" * 32)
+        )
+        request.attach_auth("peer:r0@S0", b"\x01" * 32)
+        body = encode_envelope(ReplicaId(shard=0, index=0), request)
+        _, first = decode_wire_payload(body)
+        _, second = decode_wire_payload(body)
+        assert first == second == request
+        assert first is not second
+        first.attach_auth("peer:r1@S0", b"\x02" * 32)
+        assert second.auth_tag("peer:r1@S0") is None
+        assert second.auth_tags() == {"peer:r0@S0": b"\x01" * 32}
+        assert first.transaction is second.transaction
+        assert first.signature is second.signature
 
     def test_multicast_bodies_match_unicast_encodings(self):
         """The encode-once fast path must be byte-identical per destination."""
