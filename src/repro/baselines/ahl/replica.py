@@ -31,7 +31,7 @@ from repro.baselines.ahl.messages import (
     Vote2PC,
 )
 from repro.baselines.ahl.records import AhlRecord
-from repro.common.messages import ClientRequest, batch_digest
+from repro.common.messages import ClientRequest, requests_digest
 from repro.consensus.pbft.replica import PbftReplica
 
 
@@ -211,7 +211,7 @@ class AhlReplica(PbftReplica):
             self.broadcast(list(self.directory.replicas_of(shard)), message)
 
     def _handle_prepare_2pc(self, message: Prepare2PC) -> None:
-        if batch_digest(message.requests) != message.batch_digest:
+        if requests_digest(message) != message.batch_digest:
             return
         involved = message.requests[0].transaction.involved_shards
         if self.shard_id not in involved:

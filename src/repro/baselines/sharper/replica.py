@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.sharper.messages import CrossCommit, CrossPrepare, CrossPropose
-from repro.common.messages import ClientRequest, batch_digest
+from repro.common.messages import ClientRequest, batch_digest, requests_digest
 from repro.consensus.pbft.replica import PbftReplica
 
 
@@ -160,7 +160,7 @@ class SharperReplica(PbftReplica):
         self.broadcast(self._involved_replicas(record), message, include_self=True)
 
     def _handle_cross_propose(self, message: CrossPropose) -> None:
-        if batch_digest(message.requests) != message.batch_digest:
+        if requests_digest(message) != message.batch_digest:
             return
         involved = message.requests[0].transaction.involved_shards
         if self.shard_id not in involved:

@@ -11,7 +11,8 @@ binary codec in :mod:`repro.common.codec`: payload fields carry raw values
 (bytes digests, int shard keys) and the codec's type-tagged encoding keeps
 them injective.  ``payload_bytes``/``digest`` are memoised on the frozen
 message objects, so each message is encoded and hashed at most once per
-process no matter how many times it is sent, received, or retransmitted.
+process no matter how many times it is sent, received, or retransmitted;
+:func:`requests_digest` does the same for the batch a message carries.
 """
 
 from __future__ import annotations
@@ -372,7 +373,10 @@ class Forward(Message):
     digest ``Delta`` used as the cross-shard identity of the batch, and -- for
     complex transactions -- the read/write sets accumulated so far along the
     ring (Section 8.8: "requiring each shard to send its read-write sets along
-    with the Forward message").
+    with the Forward message").  ``read_sets`` maps shard id -> {key ->
+    committed value} and holds only keys some transaction of the batch names
+    in ``Operation.depends_on``: it is empty for a batch of simple
+    transactions.
     """
 
     requests: tuple[ClientRequest, ...]
@@ -413,7 +417,8 @@ class Execute(Message):
 
     ``write_sets`` maps shard id -> {key -> committed value} and accumulates
     as the message travels the ring, resolving cross-shard dependencies of
-    complex transactions.
+    complex transactions.  Like ``Forward.read_sets`` it holds only
+    dependency keys, so it is empty for a batch of simple transactions.
     """
 
     batch_digest: bytes
@@ -619,6 +624,26 @@ def batch_digest(requests: tuple[ClientRequest, ...] | list[ClientRequest]) -> b
     """
     parts = b"".join(req.transaction.digest() for req in requests)
     return sha256(parts)
+
+
+def requests_digest(message: Any) -> bytes:
+    """``batch_digest(message.requests)``, hashed at most once per message object.
+
+    Every receiver of a batch-carrying message (PrePrepare, Forward,
+    Prepare2PC, CrossPropose) checks the carried requests against the
+    message's claimed ``batch_digest``.  The value is a pure function of the
+    frozen message's fields, so -- like the payload memo -- it is stored on
+    the object: receivers that share one object (a multicast on the
+    simulator, a relayed Forward) hash its batch once, and each of them
+    still compares the value with the claimed digest.
+    """
+    if codec.LEGACY.enabled:
+        return batch_digest(message.requests)
+    cached = message.__dict__.get("_requests_digest_memo")
+    if cached is None:
+        cached = batch_digest(message.requests)
+        object.__setattr__(message, "_requests_digest_memo", cached)
+    return cached
 
 
 @dataclass

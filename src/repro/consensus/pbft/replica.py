@@ -41,6 +41,7 @@ from repro.common.messages import (
     Message,
     ViewChange,
     batch_digest,
+    requests_digest,
 )
 from repro.common.types import ReplicaId
 from repro.config import PipelineConfig, TimerConfig
@@ -593,7 +594,7 @@ class PbftReplica(Node):
             return
         if message.sender != self.directory.primary_of(self.shard_id, message.view):
             return
-        if batch_digest(message.requests) != message.batch_digest:
+        if requests_digest(message) != message.batch_digest:
             return
         if self.log.has_accepted(message.view, message.sequence):
             if self.log.accepted_digest(message.view, message.sequence) != message.batch_digest:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.common import codec
 from repro.common.messages import ClientRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,8 +42,17 @@ class CrossShardRecord:
     forward_senders: dict[int, set[str]] = field(default_factory=dict)
     execute_senders: dict[int, set[str]] = field(default_factory=dict)
     remote_view_senders: dict[int, set[str]] = field(default_factory=dict)
+    #: The same votes split by the Sigma they carried: (origin shard, Sigma
+    #: key) -> distinct senders.  A received Sigma is adopted only once a weak
+    #: quorum of its origin shard carries it, so no single Byzantine sender
+    #: decides what a complex transaction reads.
+    forward_sigma_votes: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
+    execute_sigma_votes: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
 
-    #: Accumulated write sets (the Sigma of the paper), per shard.
+    #: Keys of this replica's shard that some transaction of the batch names
+    #: in ``Operation.depends_on`` -- the only local values Sigma carries.
+    dependency_keys: frozenset[str] = frozenset()
+    #: Accumulated dependency values (the Sigma of the paper), per shard.
     write_sets: dict[int, dict[str, str]] = field(default_factory=dict)
     #: Bumped whenever ``write_sets`` *content* changes.  The outbound Forward
     #: is rebuilt only when this moved, so retransmissions reuse one frozen
@@ -61,16 +71,28 @@ class CrossShardRecord:
     #: per-record cap was reached; see ``TimerConfig.max_forward_retransmissions``).
     retransmissions_exhausted: bool = False
 
-    def record_forward(self, origin_shard: int, sender: str) -> int:
-        """Count a Forward message; returns the number of distinct senders so far."""
-        senders = self.forward_senders.setdefault(origin_shard, set())
-        senders.add(sender)
-        return len(senders)
+    def record_forward(
+        self, origin_shard: int, sender: str, read_sets: dict[int, dict[str, str]]
+    ) -> int:
+        """Count a Forward message; returns how many distinct senders of
+        ``origin_shard`` carried these same ``read_sets``."""
+        self.forward_senders.setdefault(origin_shard, set()).add(sender)
+        return _vote(self.forward_sigma_votes, origin_shard, sender, read_sets)
 
-    def record_execute(self, origin_shard: int, sender: str) -> int:
-        senders = self.execute_senders.setdefault(origin_shard, set())
-        senders.add(sender)
-        return len(senders)
+    def record_execute(
+        self, origin_shard: int, sender: str, write_sets: dict[int, dict[str, str]]
+    ) -> int:
+        """Count an Execute message; returns how many distinct senders of
+        ``origin_shard`` carried these same ``write_sets``."""
+        self.execute_senders.setdefault(origin_shard, set()).add(sender)
+        return _vote(self.execute_sigma_votes, origin_shard, sender, write_sets)
+
+    def forward_agreement(self, origin_shard: int) -> int:
+        """Most distinct senders of ``origin_shard`` whose Forwards agree on Sigma."""
+        return max(
+            (len(s) for (origin, _), s in self.forward_sigma_votes.items() if origin == origin_shard),
+            default=0,
+        )
 
     def record_remote_view(self, origin_shard: int, sender: str) -> int:
         senders = self.remote_view_senders.setdefault(origin_shard, set())
@@ -80,6 +102,8 @@ class CrossShardRecord:
     def merge_write_sets(self, incoming: dict[int, dict[str, str]]) -> None:
         changed = False
         for shard, writes in incoming.items():
+            if not writes:
+                continue
             target = self.write_sets.setdefault(shard, {})
             for key, value in writes.items():
                 if target.get(key) != value:
@@ -110,3 +134,20 @@ class CrossShardRecord:
         if is_initiator:
             return self.replied
         return self.execute_sent
+
+
+def _vote(
+    table: dict[tuple[int, bytes], set[str]],
+    origin_shard: int,
+    sender: str,
+    sigma: dict[int, dict[str, str]],
+) -> int:
+    """Add ``sender`` to the voters for ``sigma`` from ``origin_shard``; return their count.
+
+    Sigma is keyed by its canonical bytes; the empty Sigma of a batch with no
+    complex transaction skips the encoder.
+    """
+    key = (origin_shard, codec.encode_canonical(sigma) if sigma else b"")
+    senders = table.setdefault(key, set())
+    senders.add(sender)
+    return len(senders)

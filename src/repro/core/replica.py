@@ -17,6 +17,11 @@ of the intra-shard PBFT engine:
   accumulated write sets ``Sigma`` that resolve complex-transaction
   dependencies.  When Execute wraps back to the initiator it replies to the
   client.
+* **Sigma** -- each shard contributes only the values of its keys that some
+  transaction of the batch names in ``Operation.depends_on`` (committed
+  values at lock time, written values at execute time), so a batch with no
+  complex transaction carries an empty Sigma at every hop.  A received Sigma
+  is adopted only once ``f + 1`` senders of its origin shard carry it.
 * **Re-transmit** -- a transmit timer re-sends Forward messages; a remote
   timer detects partial communication and triggers a *remote view change* in
   the previous shard (Figure 6).
@@ -30,7 +35,7 @@ from repro.common.messages import (
     Execute,
     Forward,
     RemoteView,
-    batch_digest,
+    requests_digest,
 )
 from repro.core.records import CrossShardRecord
 from repro.consensus.pbft.log import SlotState
@@ -131,19 +136,29 @@ class RingBftReplica(PbftReplica):
         record.sequence = sequence
         record.commit_view = view
         record.locked = True
-        # Attach this shard's current read set (the committed values of the
-        # data items the batch accesses here) so that complex transactions can
-        # resolve cross-shard dependencies from the accumulated Sigma.
+        # Attach the committed values of the keys complex transactions depend
+        # on, so they can resolve cross-shard dependencies from the
+        # accumulated Sigma.  Every local dependency key is also a lock key,
+        # so the values are stable until this fragment executes.
+        record.dependency_keys = self._dependency_keys_for(batch)
         local_reads = {
-            key: self.store.read(key)
-            for key in self._lock_keys_for(batch)
-            if key in self.store
+            key: self.store.read(key) for key in record.dependency_keys if key in self.store
         }
         record.add_local_writes(self.shard_id, local_reads)
         self._send_forward(record)
         if record.execute_ready:
             # An Execute quorum arrived while we were still locking.
             self._execute_cross_fragment(record)
+
+    def _dependency_keys_for(self, batch: tuple[ClientRequest, ...]) -> frozenset[str]:
+        """Keys of this shard that some transaction of ``batch`` depends on."""
+        return frozenset(
+            key
+            for request in batch
+            for op in request.transaction.operations
+            for shard, key in op.depends_on
+            if shard == self.shard_id
+        )
 
     # ------------------------------------------------------------------
     # single-shard path
@@ -289,7 +304,7 @@ class RingBftReplica(PbftReplica):
 
     def _verify_forward(self, message: Forward) -> bool:
         """Well-formedness of a Forward: digest matches and the certificate verifies."""
-        if batch_digest(message.requests) != message.batch_digest:
+        if requests_digest(message) != message.batch_digest:
             return False
         certificate = message.certificate
         if certificate.batch_digest != message.batch_digest:
@@ -316,14 +331,14 @@ class RingBftReplica(PbftReplica):
             return
         self._relay_locally(message, digest)
         record = self._record_for(digest, involved, message.requests)
-        record.merge_write_sets(message.read_sets)
         origin = message.origin_shard
-        count = record.record_forward(origin, str(message.sender))
+        count = record.record_forward(origin, str(message.sender), message.read_sets)
         origin_weak = self.directory.quorum(origin).weak_quorum
-        if count == 1 and not record.locked:
+        if len(record.forward_senders[origin]) == 1 and not record.locked:
             self._arm_remote_timer(record, origin)
         if count < origin_weak:
             return
+        record.merge_write_sets(message.read_sets)
         self.cancel_timer(f"remote-{digest.hex()}")
         if record.locked:
             # The rotation wrapped back to us (we are the initiator, or a
@@ -363,7 +378,7 @@ class RingBftReplica(PbftReplica):
         if record is None:
             return
         origin_weak = self.directory.quorum(origin).weak_quorum
-        if len(record.forward_senders.get(origin, set())) >= origin_weak:
+        if record.forward_agreement(origin) >= origin_weak:
             return
         message = RemoteView(
             sender=self.replica_id,
@@ -387,9 +402,12 @@ class RingBftReplica(PbftReplica):
         transactions = [req.transaction for req in record.requests]
         results = self.executor.execute_batch(transactions, record.write_sets)
         self.executed_txn_count += len(transactions)
-        local_writes: dict[str, str] = {}
-        for result in results:
-            local_writes.update(result.writes)
+        local_writes = {
+            key: value
+            for result in results
+            for key, value in result.writes.items()
+            if key in record.dependency_keys
+        }
         record.add_local_writes(self.shard_id, local_writes)
         record.executed = True
         self.last_executed = max(self.last_executed, record.sequence)
@@ -427,11 +445,11 @@ class RingBftReplica(PbftReplica):
             record = self._record_for(digest, frozenset())
         self._relay_locally(message, digest)
         origin = message.origin_shard
-        count = record.record_execute(origin, str(message.sender))
-        record.merge_write_sets(message.write_sets)
+        count = record.record_execute(origin, str(message.sender), message.write_sets)
         origin_weak = self.directory.quorum(origin).weak_quorum
         if count < origin_weak:
             return
+        record.merge_write_sets(message.write_sets)
         if record.executed:
             # We are the initiator and the Execute rotation wrapped back:
             # every shard has executed, reply to the client (Figure 5, 41-42).

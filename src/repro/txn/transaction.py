@@ -177,7 +177,14 @@ class Transaction:
         return cached
 
     def digest(self) -> bytes:
-        """Collision-resistant digest of the envelope, hashed at most once."""
+        """Collision-resistant digest of the envelope, hashed at most once.
+
+        A cold payload memo (every decoded transaction has one) is filled
+        through the compiled layout first, so the digest never falls back to
+        the generic walker over :meth:`to_wire`.
+        """
+        if "_payload_memo" not in self.__dict__ and not codec.LEGACY.enabled:
+            self.payload_bytes()
         return codec.memoized_digest(self, self.to_wire)
 
     def conflicts_with(self, other: "Transaction") -> bool:

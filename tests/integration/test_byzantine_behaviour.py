@@ -5,6 +5,10 @@ replicas and check that the well-formedness rules of Section 3 (authenticated
 communication, commit certificates) stop them from affecting safety.
 """
 
+from repro.baselines.ahl.messages import Prepare2PC
+from repro.baselines.ahl.replica import AhlReplica
+from repro.baselines.sharper.messages import CrossPropose
+from repro.baselines.sharper.replica import SharperReplica
 from repro.common.crypto import SignatureScheme
 from repro.common.messages import (
     ClientRequest,
@@ -13,6 +17,7 @@ from repro.common.messages import (
     Forward,
     PrePrepare,
     batch_digest,
+    requests_digest,
 )
 from repro.consensus.pbft.log import SlotState
 from repro.txn.transaction import TransactionBuilder
@@ -205,3 +210,89 @@ class TestSafetyUnderEquivocationAttempt:
             assert replica.ledger.contains_txn("honest-commit")
             assert not replica.ledger.contains_txn("late-equivocation")
             assert replica.log.state(0, 1) in (SlotState.COMMITTED, SlotState.EXECUTED)
+
+
+class TestMismatchedBatchDigest:
+    """Every receiver of one shared message object rejects a batch that does
+    not hash to the claimed digest: the memoised hash of the requests is
+    compared with the claim on every reception, never trusted in its place."""
+
+    def _batches(self, cluster, shards):
+        carried = (_request("carried", shards, cluster),)
+        claimed = (_request("claimed", shards, cluster),)
+        return carried, batch_digest(claimed)
+
+    def _deliver_to_all(self, sender, message, receivers):
+        sender._authenticate_for_audience(message, [r.replica_id for r in receivers])
+        for receiver in receivers:
+            receiver.deliver(message)
+        assert requests_digest(message) == batch_digest(message.requests)
+        assert requests_digest(message) != message.batch_digest
+
+    def test_pre_prepare_is_rejected_by_every_backup(self):
+        cluster = build_cluster(num_shards=1)
+        primary = cluster.primary_of(0)
+        requests, claimed = self._batches(cluster, (0,))
+        proposal = PrePrepare(
+            sender=primary.replica_id, view=0, sequence=1, batch_digest=claimed, requests=requests
+        )
+        backups = [r for r in cluster.shard_replicas(0) if r is not primary]
+        self._deliver_to_all(primary, proposal, backups)
+        assert not any(replica.log.has_accepted(0, 1) for replica in backups)
+
+    def test_forward_is_rejected_by_every_replica_of_the_next_shard(self):
+        cluster = build_cluster(num_shards=2)
+        requests, claimed = self._batches(cluster, (0, 1))
+        commit = Commit(
+            sender=cluster.replica(0, 0).replica_id, view=0, sequence=1, batch_digest=claimed
+        )
+        scheme = SignatureScheme(cluster.keystore)
+        certificate = CommitCertificate(
+            shard=0,
+            view=0,
+            sequence=1,
+            batch_digest=claimed,
+            signatures=tuple(scheme.sign(f"r{i}@S0", commit.signed_payload()) for i in range(3)),
+        )
+        forward = Forward(
+            sender=cluster.replica(0, 0).replica_id,
+            requests=requests,
+            certificate=certificate,
+            batch_digest=claimed,
+            origin_shard=0,
+        )
+        receivers = cluster.shard_replicas(1)
+        self._deliver_to_all(cluster.replica(0, 0), forward, receivers)
+        for receiver in receivers:
+            assert receiver.cross_record(claimed) is None
+            assert receiver.cross_record(batch_digest(requests)) is None
+
+    def test_prepare_2pc_is_rejected_by_every_involved_replica(self):
+        cluster = build_cluster(num_shards=2, replica_class=AhlReplica)
+        requests, claimed = self._batches(cluster, (0, 1))
+        committee = cluster.replica(0, 0)
+        prepare = Prepare2PC(
+            sender=committee.replica_id,
+            requests=requests,
+            batch_digest=claimed,
+            global_sequence=1,
+            shard_sequences={1: 1},
+        )
+        receivers = cluster.shard_replicas(1)
+        self._deliver_to_all(committee, prepare, receivers)
+        for receiver in receivers:
+            assert receiver.ahl_record(claimed) is None
+            assert receiver.ahl_record(batch_digest(requests)) is None
+
+    def test_cross_propose_is_rejected_by_every_involved_replica(self):
+        cluster = build_cluster(num_shards=2, replica_class=SharperReplica)
+        requests, claimed = self._batches(cluster, (0, 1))
+        initiator = cluster.primary_of(0)
+        proposal = CrossPropose(
+            sender=initiator.replica_id, requests=requests, batch_digest=claimed, global_sequence=1
+        )
+        receivers = cluster.shard_replicas(1)
+        self._deliver_to_all(initiator, proposal, receivers)
+        for receiver in receivers:
+            assert receiver.sharper_record(claimed) is None
+            assert receiver.sharper_record(batch_digest(requests)) is None

@@ -38,6 +38,8 @@ from repro.common.messages import (
     StateTransferReply,
     StateTransferRequest,
     ViewChange,
+    batch_digest,
+    requests_digest,
 )
 from repro.common.types import ReplicaId
 from repro.net.wire import ControlReply, ControlRequest
@@ -363,3 +365,19 @@ class TestCodecInjectivity:
             assert a.digest() != b.digest()
         else:
             assert a.digest() == b.digest()
+
+
+class TestRequestsDigestMemo:
+    @pytest.mark.parametrize("type_name", ("PrePrepare", "Forward", "Prepare2PC", "CrossPropose"))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_memo_equals_the_batch_digest_of_a_fresh_equal_message(self, type_name, data):
+        """The memo is a pure function of the message: sent or decoded, it
+        equals ``batch_digest`` over a freshly built equal message's
+        requests -- whatever digest the message claims."""
+        message = data.draw(MESSAGE_STRATEGIES[type_name])
+        decoded = decode_canonical(encode_canonical(message))
+        expected = batch_digest(_fresh(message).requests)
+        for carrier in (message, decoded, message):  # the last one hits the memo
+            assert requests_digest(carrier) == expected
+        assert requests_digest(_fresh(message)) == expected

@@ -12,6 +12,8 @@ requires for ``_TXN_LAYOUT``/``_OP_LAYOUT``/``_CLIENT_REQUEST_LAYOUT``/
 ``_FORWARD_LAYOUT``.
 """
 
+import hashlib
+
 from repro.common import codec
 from repro.common.crypto import DIGEST_SIZE, Signature
 from repro.common.messages import ClientRequest, CommitCertificate, Forward
@@ -80,9 +82,23 @@ class TestTransactionIdentity:
     def test_digest_agrees_whichever_path_encodes_first(self):
         a = _transaction("same")
         b = _transaction("same")
-        a.payload_bytes()  # packed layout first
-        b.digest()  # generic walk first
-        assert a.digest() == b.digest()
+        a.payload_bytes()  # payload memo first
+        b.digest()  # digest first
+        generic = hashlib.sha256(codec.encode_canonical(a.to_wire())).digest()
+        assert a.digest() == b.digest() == generic
+
+    def test_cold_digest_never_walks_the_generic_encoder(self, monkeypatch):
+        """A decoded transaction has a cold payload memo; its digest fills
+        the memo through the compiled layout, not the generic walker."""
+        txn = codec.decode_canonical(codec.encode_canonical(_transaction("cold")))
+        assert "_payload_memo" not in txn.__dict__
+        expected = hashlib.sha256(codec.encode_canonical(txn.to_wire())).digest()
+
+        def generic_walker(value):
+            raise AssertionError("Transaction.digest used the generic walker")
+
+        monkeypatch.setattr(codec, "encode_canonical", generic_walker)
+        assert txn.digest() == expected
 
 
 class TestClientRequestIdentity:
