@@ -7,8 +7,8 @@ field.  This rule makes the closed-world assumption explicit: every class
 deriving from :class:`repro.common.messages.Message` must either
 
 * appear in some ``_MAC_REQUIRED_TYPES`` tuple (mandatory pairwise MACs), or
-* be listed in :data:`SIGNED_OR_CLIENT_TYPES` with the reason its integrity
-  comes from another mechanism (client signatures, client-directed traffic).
+* be listed in :data:`SIGNED_OR_CLIENT_TYPES` with the reason it is exempt:
+  another mechanism (client signatures), or a stated, tracked gap.
 
 Adding a new Message subclass without deciding its authentication story is a
 build failure, not a silent gap.
@@ -30,9 +30,11 @@ SIGNED_OR_CLIENT_TYPES: dict[str, str] = {
     # Integrity and origin come from the client's signature over the
     # transaction; replicas verify it at admission.
     "ClientRequest": "client-signed at admission",
-    # Client-directed traffic: the client counts f+1 *matching* replies, so a
-    # single forged reply cannot change the accepted outcome.
-    "ClientResponse": "client counts f+1 matching replies",
+    # Client-directed traffic, not yet authenticated (ROADMAP item 1b): the
+    # client completes on f+1 distinct self-declared senders without comparing
+    # results or verifying a MAC, and takes a shard's view from the (f+1)-th
+    # highest claim of that shard's replicas -- a routing hint only.
+    "ClientResponse": "unauthenticated: client counts f+1 distinct senders (ROADMAP 1b)",
 }
 
 _REGISTRY_NAME = "_MAC_REQUIRED_TYPES"

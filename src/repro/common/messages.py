@@ -163,12 +163,17 @@ class ClientRequest(Message):
 @register_wire_type
 @dataclass(frozen=True)
 class ClientResponse(Message):
-    """Response(T, k, r) returned to the client by f+1 replicas."""
+    """Response(T, k, r) returned to the client by f+1 replicas.
+
+    ``view`` is the replying replica's current view, so the client can track
+    the shard's primary (PBFT's reply carries it for the same reason).
+    """
 
     txn_id: str
     sequence: int
     result: dict[str, str]
     shard: int
+    view: int
 
     def _payload_fields(self) -> dict[str, Any]:
         return {
@@ -178,6 +183,7 @@ class ClientResponse(Message):
             "sequence": self.sequence,
             "result": self.result,
             "shard": self.shard,
+            "view": self.view,
         }
 
 

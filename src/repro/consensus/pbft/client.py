@@ -1,11 +1,16 @@
-"""Client node: submits transactions and waits for ``f + 1`` matching replies.
+"""Client node: submits transactions and waits for ``f + 1`` replies.
 
 Clients sign their requests (non-repudiation, attack A1 in the paper), send
 them to the primary of the first involved shard in ring order, and start a
-timer.  If the timer fires before ``f + 1`` identical responses arrive, the
-client broadcasts the request to *every* replica of that shard, which forces
-either a reply (already executed) or a view change (primary withholding the
-request).
+timer.  If the timer fires before ``f + 1`` responses arrive, the client
+broadcasts the request to *every* replica of that shard, which forces either a
+reply (already executed) or a view change (primary withholding the request).
+
+Every reply carries the replying replica's view.  Per shard, the client keeps
+the highest view each replica of that shard has claimed and addresses the
+primary of the ``(f + 1)``-th highest claim: at least one correct replica has
+reached that view, so ``f`` forged claims cannot raise it.  The learned view is
+only a routing hint -- a wrong one costs a backup's relay or one timeout.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.common import codec
 from repro.common.crypto import KeyStore, SignatureScheme
 from repro.common.messages import ClientRequest, ClientResponse, Message
+from repro.common.types import ReplicaId
 from repro.config import TimerConfig
 from repro.consensus.directory import Directory
 from repro.sim.network import Network
@@ -66,6 +72,10 @@ class Client(Node):
         self._signing_key = keystore.signing_key(client_id)
         self._in_flight: dict[str, _InFlight] = {}
         self.completed: list[CompletedTransaction] = []
+        #: shard -> replica of that shard -> highest view it has claimed.
+        self._view_claims: dict[int, dict[ReplicaId, int]] = {}
+        #: shard -> the (f + 1)-th highest claim in ``_view_claims[shard]``.
+        self._views: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # submission
@@ -88,7 +98,7 @@ class Client(Node):
         self._in_flight[txn.txn_id] = _InFlight(
             request=request, target_shard=target_shard, submitted_at=self.now
         )
-        primary = self.directory.primary_of(target_shard, view=0)
+        primary = self.directory.primary_of(target_shard, self.view_of(target_shard))
         self.send(primary, request)
         self._arm_retransmission_timer(txn.txn_id)
         return request
@@ -117,9 +127,14 @@ class Client(Node):
     # responses
     # ------------------------------------------------------------------
 
+    def view_of(self, shard: int) -> int:
+        """The view this client believes ``shard`` is in (0 until f + 1 replicas say more)."""
+        return self._views.get(shard, 0)
+
     def on_message(self, message: Message) -> None:
         if not isinstance(message, ClientResponse):
             return
+        self._learn_view(message)
         entry = self._in_flight.get(message.txn_id)
         if entry is None:
             return
@@ -127,6 +142,23 @@ class Client(Node):
         needed = self.directory.quorum(entry.target_shard).weak_quorum
         if len(entry.responders) >= needed:
             self._complete(message.txn_id, entry)
+
+    def _learn_view(self, message: ClientResponse) -> None:
+        shard, sender, view = message.shard, message.sender, message.view
+        claims = self._view_claims.get(shard)
+        # Steady state: this replica already claimed this view.  Only a
+        # replica of ``shard`` is ever a key, so the membership check below
+        # runs once per rising claim, not once per reply.
+        if claims is not None and view <= claims.get(sender, -1):
+            return
+        if sender not in self.directory.replicas_by_shard.get(shard, ()):
+            return
+        if claims is None:
+            claims = self._view_claims[shard] = {}
+        claims[sender] = view
+        rank = self.directory.quorum(shard).weak_quorum
+        if len(claims) >= rank:
+            self._views[shard] = sorted(claims.values(), reverse=True)[rank - 1]
 
     def _complete(self, txn_id: str, entry: _InFlight) -> None:
         del self._in_flight[txn_id]

@@ -788,6 +788,7 @@ class PbftReplica(Node):
             sequence=sequence,
             result=result,
             shard=self.shard_id,
+            view=self.view,
         )
         self.send(request.transaction.client_id, response)
 

@@ -128,6 +128,7 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         sequence=sequences,
         result=kv_dicts,
         shard=shard_ids,
+        view=views,
     ),
     "PrePrepare": pre_prepares,
     "Prepare": st.builds(

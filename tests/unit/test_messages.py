@@ -44,7 +44,9 @@ class TestWireSizes:
         assert message.wire_size() == 216
 
     def test_unknown_message_types_get_default_size(self):
-        response = ClientResponse(sender=ReplicaId(0, 0), txn_id="t", sequence=1, result={}, shard=0)
+        response = ClientResponse(
+            sender=ReplicaId(0, 0), txn_id="t", sequence=1, result={}, shard=0, view=0
+        )
         assert response.wire_size() == MESSAGE_SIZES["ClientResponse"]
 
 
