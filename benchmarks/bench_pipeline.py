@@ -25,7 +25,7 @@ serialising.  Four checks, all measured:
   ``baselines/pipeline_k1_chains.json`` and every block hash of every shard
   chain must match.
 * **backends** -- ledgers stay consistent under a pipelined window (k=4) on
-  all three execution backends (sim, realtime, socket).
+  both execution backends (sim, socket).
 
 Writes ``BENCH_pipeline.json``::
 
@@ -54,7 +54,12 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.config import PipelineConfig, SystemConfig, TimerConfig, WorkloadConfig  # noqa: E402
-from repro.engine import Deployment, PoissonSaturationDriver, WorkloadDriver  # noqa: E402
+from repro.engine import (  # noqa: E402
+    BACKENDS,
+    Deployment,
+    PoissonSaturationDriver,
+    WorkloadDriver,
+)
 from repro.txn.transaction import TransactionBuilder  # noqa: E402
 from repro.workloads.ycsb import YcsbWorkloadGenerator  # noqa: E402
 
@@ -388,7 +393,7 @@ def _backend_txns(num_shards: int = 2, count: int = 16) -> list:
 
 def _backend_consistency(depth: int = 4) -> dict:
     reports = {}
-    for backend in ("sim", "realtime", "socket"):
+    for backend in sorted(BACKENDS):
         config = SystemConfig.uniform(
             2,
             4,
@@ -402,7 +407,7 @@ def _backend_consistency(depth: int = 4) -> dict:
             pipeline=PipelineConfig(depth=depth),
         )
         deployment = Deployment.build(
-            config, backend=backend, num_clients=2, batch_size=1, time_scale=0.02, seed=11
+            config, backend=backend, num_clients=2, batch_size=1, seed=11
         )
         try:
             result = deployment.run_workload(_backend_txns(), timeout=120.0)

@@ -27,7 +27,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.config import SystemConfig, TimerConfig, WorkloadConfig  # noqa: E402
-from repro.engine import run_sustained_load  # noqa: E402
+from repro.engine import BACKENDS, run_sustained_load  # noqa: E402
 
 #: Gauges that must stay flat once GC runs (each one grew without bound before).
 FLAT_GAUGES = ("log_slots", "batches", "cross_records", "committed_txn_ids")
@@ -201,7 +201,7 @@ def test_small_interval_count_is_rejected():
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend", default="sim", choices=("sim", "realtime"))
+    parser.add_argument("--backend", default="sim", choices=sorted(BACKENDS))
     parser.add_argument("--rate", type=float, default=DEFAULTS["rate"])
     parser.add_argument("--intervals", type=int, default=DEFAULTS["intervals"])
     parser.add_argument(

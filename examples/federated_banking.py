@@ -25,6 +25,7 @@ import argparse
 
 from repro import Deployment, SystemConfig, TransactionBuilder
 from repro.config import WorkloadConfig
+from repro.engine import BACKENDS
 
 BANKS = {0: "Pacific Trust", 1: "Atlantic Mutual", 2: "Meridian Bank", 3: "Austral Savings"}
 
@@ -61,8 +62,7 @@ def main(backend: str = "sim") -> None:
         replicas_per_shard=4,
         workload=WorkloadConfig(num_records=800, batch_size=1, num_clients=1),
     )
-    cluster = Deployment.build(config, backend=backend, num_clients=1, batch_size=1,
-                               time_scale=0.02)
+    cluster = Deployment.build(config, backend=backend, num_clients=1, batch_size=1)
     print("consortium members:")
     for shard, name in BANKS.items():
         print(f"  shard {shard}: {name} ({config.shard(shard).num_replicas} replicas, "
@@ -120,5 +120,5 @@ def main(backend: str = "sim") -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("sim", "realtime"), default="sim")
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
     main(parser.parse_args().backend)

@@ -25,6 +25,7 @@ import argparse
 
 from repro import Deployment, SystemConfig, TransactionBuilder
 from repro.config import WorkloadConfig
+from repro.engine import BACKENDS
 
 PARTIES = {0: "manufacturer", 1: "shipping-line", 2: "customs-broker", 3: "retailer"}
 
@@ -35,8 +36,7 @@ def main(backend: str = "sim") -> None:
         replicas_per_shard=4,
         workload=WorkloadConfig(num_records=400, batch_size=1, num_clients=1),
     )
-    cluster = Deployment.build(config, backend=backend, num_clients=1, batch_size=1,
-                               time_scale=0.02)
+    cluster = Deployment.build(config, backend=backend, num_clients=1, batch_size=1)
 
     lot_key = cluster.table.local_record(0, 0)        # manufacturer's lot record
     manifest_key = cluster.table.local_record(1, 0)   # shipping manifest entry
@@ -99,5 +99,5 @@ def main(backend: str = "sim") -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("sim", "realtime"), default="sim")
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
     main(parser.parse_args().backend)

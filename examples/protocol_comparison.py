@@ -24,7 +24,7 @@ from repro.analytical import DeploymentSpec, estimate, model_by_name
 from repro.baselines.ahl.replica import AhlReplica
 from repro.baselines.sharper.replica import SharperReplica
 from repro.config import SystemConfig, WorkloadConfig
-from repro.engine import Deployment
+from repro.engine import BACKENDS, Deployment
 from repro.core.replica import RingBftReplica
 from repro.metrics.collector import summarize
 from repro.workloads.ycsb import YcsbWorkloadGenerator
@@ -49,7 +49,7 @@ def run_protocol(name: str, replica_class, backend: str = "sim") -> dict:
     config = SystemConfig.uniform(4, 4, workload=workload)
     cluster = Deployment.build(
         config, backend=backend, replica_class=replica_class, num_clients=2, batch_size=1,
-        seed=99, time_scale=0.02,
+        seed=99,
     )
     generator = YcsbWorkloadGenerator(cluster.table, cluster.directory.ring, workload, seed=99)
 
@@ -110,5 +110,5 @@ def main(backend: str = "sim") -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("sim", "realtime"), default="sim")
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
     main(parser.parse_args().backend)

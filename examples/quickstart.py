@@ -9,7 +9,7 @@ ledgers.
 The same code runs on either execution engine::
 
     python examples/quickstart.py                      # deterministic simulator
-    python examples/quickstart.py --backend realtime   # asyncio, real timers
+    python examples/quickstart.py --backend socket     # real TCP loopback
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 
 from repro import Deployment, SystemConfig, TransactionBuilder
 from repro.config import WorkloadConfig
+from repro.engine import BACKENDS
 
 
 def main(backend: str = "sim") -> None:
@@ -29,8 +30,7 @@ def main(backend: str = "sim") -> None:
         replicas_per_shard=4,
         workload=WorkloadConfig(num_records=300, batch_size=1, num_clients=1),
     )
-    deployment = Deployment.build(config, backend=backend, num_clients=1, batch_size=1,
-                                  time_scale=0.02)
+    deployment = Deployment.build(config, backend=backend, num_clients=1, batch_size=1)
     print(f"deployment: {config.num_shards} shards x {config.shards[0].num_replicas} replicas "
           f"({config.total_replicas} replicas total) on the {backend!r} backend, "
           f"ring order {deployment.directory.ring.order}")
@@ -92,5 +92,5 @@ def main(backend: str = "sim") -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("sim", "realtime"), default="sim")
+    parser.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
     main(parser.parse_args().backend)

@@ -9,25 +9,24 @@ used to regenerate the paper's figures at full scale.
 
 Quickstart::
 
-    from repro import Cluster, SystemConfig, TransactionBuilder
+    from repro import Deployment, SystemConfig, TransactionBuilder
 
     config = SystemConfig.uniform(num_shards=3, replicas_per_shard=4)
-    cluster = Cluster.build(config)
+    deployment = Deployment.build(config, backend="sim")
     txn = (TransactionBuilder("txn-1", "client-0")
            .read_modify_write(0, "user100", "new-value")
            .build())
-    cluster.submit(txn)
-    cluster.run_until_clients_done()
+    deployment.submit(txn)
+    deployment.run_until_clients_done()
 """
 
-from repro.cluster import Cluster
 from repro.config import ShardConfig, SystemConfig, TimerConfig, WorkloadConfig
 from repro.engine import (
     Deployment,
     ExecutionBackend,
-    RealTimeBackend,
     RunResult,
     SimBackend,
+    SocketBackend,
     WorkloadDriver,
     backend_by_name,
 )
@@ -40,12 +39,11 @@ from repro.txn.transaction import Operation, OpType, Transaction, TransactionBui
 __version__ = "1.0.0"
 
 __all__ = [
-    "Cluster",
     "Deployment",
     "ExecutionBackend",
-    "RealTimeBackend",
     "RunResult",
     "SimBackend",
+    "SocketBackend",
     "WorkloadDriver",
     "backend_by_name",
     "SystemConfig",

@@ -1,7 +1,7 @@
 """Async hygiene: the event-loop packages must not stall or drop exceptions.
 
-The realtime and socket backends multiplex every replica of a process on one
-asyncio loop.  Two statically detectable hazards:
+The socket backend multiplexes every replica of a process on one asyncio
+loop.  Two statically detectable hazards:
 
 * **blocking-async** -- a synchronous blocking call (``time.sleep``, sync
   socket/subprocess ops) inside ``async def`` freezes every replica sharing

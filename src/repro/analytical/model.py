@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analytical.costs import CostParameters
 from repro.config import GCP_REGIONS
-from repro.sim.regions import region_rtt_seconds
+from repro.netem.regions import region_rtt_seconds
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ Examples::
     ringbft run figure8-shards
 
     # Run the figure's protocol-mode validation on a chosen execution backend.
-    ringbft run figure8-shards --backend realtime
+    ringbft run figure8-shards --backend sim
 
-    # Run a small end-to-end protocol demo (simulator or asyncio real time).
+    # Run a small end-to-end protocol demo (simulator or real TCP loopback).
     ringbft demo --shards 3 --replicas 4 --transactions 20 --backend sim
 
     # Sustain open-loop Poisson load across checkpoint intervals and report
@@ -25,7 +25,7 @@ Examples::
     # The same, with every link emulating the wan3 region RTT matrix.
     ringbft deploy-local --shards 2 --replicas-per-shard 4 --geo wan3
 
-    # One geo workload on all three backends, side by side.
+    # One geo workload on both backends, side by side.
     ringbft run wan-backends
 
     # (Usually spawned by deploy-local:) host one replica over TCP.
@@ -121,7 +121,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         num_clients=args.clients,
         batch_size=1,
         seed=args.seed,
-        time_scale=args.time_scale,
         netem=netem_policy_for(args.geo),
     )
     try:
@@ -184,7 +183,6 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         checkpoint_intervals=args.intervals,
         num_clients=args.clients,
         seed=args.seed,
-        time_scale=args.time_scale,
         gc_enabled=not args.no_gc,
     )
     series = driver.series
@@ -386,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emulate this WAN geo profile on the chosen backend",
     )
     demo_parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.02,
-        help="realtime backend only: compress every delay by this factor",
-    )
-    demo_parser.add_argument(
         "--pipeline-depth",
         type=int,
         default=1,
@@ -422,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable checkpoint-driven truncation (to demonstrate the growth it prevents)",
     )
     steady_parser.add_argument("--json", help="also write the sampled series to this file")
-    steady_parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.02,
-        help="realtime backend only: compress every delay by this factor",
-    )
     steady_parser.add_argument(
         "--pipeline-depth",
         type=int,

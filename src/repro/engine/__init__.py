@@ -1,8 +1,8 @@
 """Pluggable execution engine: one harness, two clocks.
 
 The engine package decouples *what* a deployment runs (replicas, clients,
-workloads) from *how* it is executed (deterministic simulation vs asyncio
-real time).  See :mod:`repro.engine.protocols` for the structural interfaces,
+workloads) from *how* it is executed (deterministic simulation vs real TCP
+on the wall clock).  See :mod:`repro.engine.protocols` for the structural interfaces,
 :mod:`repro.engine.backends` for the two built-in backends, and
 :mod:`repro.engine.deployment` for the unified harness.
 """
@@ -10,7 +10,6 @@ real time).  See :mod:`repro.engine.protocols` for the structural interfaces,
 from repro.engine.backends import (
     BACKENDS,
     ExecutionBackend,
-    RealTimeBackend,
     SimBackend,
     SocketBackend,
     backend_by_name,
@@ -33,7 +32,6 @@ __all__ = [
     "ExecutionBackend",
     "OpenLoopWorkloadDriver",
     "PoissonSaturationDriver",
-    "RealTimeBackend",
     "RunResult",
     "Scheduler",
     "SimBackend",

@@ -8,12 +8,8 @@ replicas and clients against whichever backend it is handed, so every
 experiment, benchmark, and example can run on either clock.
 
 * :class:`SimBackend` -- deterministic discrete-event simulation; protocol
-  time is virtual, a given seed always produces the same execution.
-* :class:`RealTimeBackend` -- asyncio; protocol timers are real timers and
-  message delays are real delays, optionally compressed by ``time_scale`` so
-  WAN-sized runs finish in wall-clock seconds.  The backend owns a private
-  event loop, which keeps construction eager and symmetric with the simulator
-  and lets one deployment be driven several times (run, inspect, run again).
+  time is virtual, a given seed always produces the same execution.  It
+  drives the figures and the test oracles.
 * :class:`SocketBackend` -- asyncio over real TCP sockets; messages leave the
   process as canonical-codec frames (:mod:`repro.net`) and protocol time is
   wall-clock time.  One process can host any subset of a deployment's nodes,
@@ -31,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SocketTransport
 from repro.netem import LatencyModel, LinkEmulator, NetemPolicy, NetworkConditions
-from repro.rt.transport import AsyncNetwork, RealTimeScheduler
+from repro.rt.transport import RealTimeScheduler
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -166,113 +162,17 @@ class SimBackend(ExecutionBackend):
         return self.simulator.run(max_events=max_events)
 
 
-class _EventLoopBackend(ExecutionBackend):
-    """Shared asyncio driving logic: poll a predicate while the loop runs.
-
-    Subclasses own a private event loop (``self._loop``) and a
-    ``time_scale`` converting protocol seconds to wall-clock seconds; this
-    base provides the three ``run_*`` drivers on top of them, so the
-    realtime and socket backends cannot drift apart in deadline or scaling
-    semantics.
-    """
-
-    #: Wall-clock pause between predicate polls while driving the loop.
-    POLL_INTERVAL_S = 0.002
-
-    _loop: asyncio.AbstractEventLoop
-    time_scale: float
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float,
-        max_events: int | None = None,
-    ) -> bool:
-        async def _drive() -> bool:
-            wall_deadline = self._loop.time() + timeout * self.time_scale
-            while not predicate():
-                if self._loop.time() >= wall_deadline:
-                    break
-                await asyncio.sleep(self.POLL_INTERVAL_S)
-            return predicate()
-
-        return self._loop.run_until_complete(_drive())
-
-    def run_for(self, duration: float, max_events: int | None = None) -> float:
-        async def _sleep() -> None:
-            await asyncio.sleep(duration * self.time_scale)
-
-        self._loop.run_until_complete(_sleep())
-        return self.now
-
-    def run_until_time(self, time: float, max_events: int | None = None) -> float:
-        remaining = time - self.now
-        if remaining > 0:
-            self.run_for(remaining)
-        return self.now
-
-
-class RealTimeBackend(_EventLoopBackend):
-    """Asyncio execution: the same protocol code on a real clock.
-
-    ``time_scale`` compresses every timer delay and ``latency_scale`` every
-    network delay (both default to 0.05, i.e. 20x compression), which keeps
-    demo workloads within a couple of wall-clock seconds while preserving
-    relative timer ordering.  Protocol time (``now``, latencies, timeouts) is
-    always reported *unscaled*, so results are directly comparable with the
-    simulator's.
-    """
-
-    name = "realtime"
-
-    def __init__(
-        self,
-        *,
-        seed: int = 2022,
-        latency: LatencyModel | None = None,
-        conditions: NetworkConditions | None = None,
-        netem: NetemPolicy | None = None,
-        time_scale: float = 0.05,
-        latency_scale: float | None = None,
-    ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._closed = False
-        self.time_scale = time_scale
-        self._scheduler = RealTimeScheduler(self._loop, seed=seed, time_scale=time_scale)
-        emulator = LinkEmulator(
-            _resolve_policy(netem, latency),
-            conditions or NetworkConditions(),
-            seed=seed,
-        )
-        self._network = AsyncNetwork(
-            self._scheduler,
-            emulator=emulator,
-            latency_scale=latency_scale if latency_scale is not None else time_scale,
-        )
-
-    @property
-    def scheduler(self) -> RealTimeScheduler:
-        return self._scheduler
-
-    @property
-    def transport(self) -> AsyncNetwork:
-        return self._network
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._loop.close()
-
-
-class SocketBackend(_EventLoopBackend):
+class SocketBackend(ExecutionBackend):
     """Real TCP execution: messages cross the network as codec frames.
 
-    The backend owns an event loop, a :class:`RealTimeScheduler` (protocol
-    timers are real timers; ``time_scale`` defaults to 1.0 -- on sockets,
-    protocol time *is* wall-clock time, so throughput and latency numbers
-    are genuine), and a :class:`~repro.net.transport.SocketTransport` bound
-    to ``listen``.  ``address_map`` pins remote replicas to endpoints;
-    addresses missing from it (clients) route to ``default_endpoint``.
+    The backend owns a private event loop, a :class:`RealTimeScheduler`
+    (protocol timers are real timers and protocol time *is* wall-clock time,
+    so throughput and latency numbers are genuine), and a
+    :class:`~repro.net.transport.SocketTransport` bound to ``listen``.
+    ``address_map`` pins remote replicas to endpoints; addresses missing from
+    it (clients) route to ``default_endpoint``.  Owning the loop keeps
+    construction eager and symmetric with the simulator and lets one
+    deployment be driven several times (run, inspect, run again).
 
     Constructed by name (``--backend socket``) it hosts every node locally
     with ``wire_loopback`` on, so even a single-process deployment pushes
@@ -284,6 +184,9 @@ class SocketBackend(_EventLoopBackend):
 
     name = "socket"
 
+    #: Wall-clock pause between predicate polls while driving the loop.
+    POLL_INTERVAL_S = 0.002
+
     def __init__(
         self,
         *,
@@ -291,7 +194,6 @@ class SocketBackend(_EventLoopBackend):
         address_map: dict[Hashable, tuple[str, int]] | None = None,
         default_endpoint: tuple[str, int] | None = None,
         seed: int = 2022,
-        time_scale: float = 1.0,
         max_frame: int = MAX_FRAME_BYTES,
         wire_loopback: bool = True,
         conditions: NetworkConditions | None = None,
@@ -299,8 +201,7 @@ class SocketBackend(_EventLoopBackend):
     ) -> None:
         self._loop = asyncio.new_event_loop()
         self._closed = False
-        self.time_scale = time_scale
-        self._scheduler = RealTimeScheduler(self._loop, seed=seed, time_scale=time_scale)
+        self._scheduler = RealTimeScheduler(self._loop, seed=seed)
         # ``netem=None`` keeps the historical plain-loopback behaviour: the
         # emulator only injects faults; a geo policy adds real WAN delays.
         self._transport = SocketTransport(
@@ -327,6 +228,32 @@ class SocketBackend(_EventLoopBackend):
     def listen_endpoint(self) -> tuple[str, int]:
         return self._transport.bound_endpoint
 
+    def run_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: float,
+        max_events: int | None = None,
+    ) -> bool:
+        async def _drive() -> bool:
+            wall_deadline = self._loop.time() + timeout
+            while not predicate():
+                if self._loop.time() >= wall_deadline:
+                    break
+                await asyncio.sleep(self.POLL_INTERVAL_S)
+            return predicate()
+
+        return self._loop.run_until_complete(_drive())
+
+    def run_for(self, duration: float, max_events: int | None = None) -> float:
+        self._loop.run_until_complete(asyncio.sleep(duration))
+        return self.now
+
+    def run_until_time(self, time: float, max_events: int | None = None) -> float:
+        remaining = time - self.now
+        if remaining > 0:
+            self.run_for(remaining)
+        return self.now
+
     def run_coroutine(self, coro):
         """Run an auxiliary coroutine (control calls, teardown) on the loop."""
         return self._loop.run_until_complete(coro)
@@ -341,7 +268,6 @@ class SocketBackend(_EventLoopBackend):
 #: Registry of the built-in backends, keyed by their ``--backend`` name.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SimBackend.name: SimBackend,
-    RealTimeBackend.name: RealTimeBackend,
     SocketBackend.name: SocketBackend,
 }
 
@@ -349,14 +275,6 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
 #: else a uniform call site passes is silently dropped).
 _BACKEND_KWARGS: dict[str, tuple[str, ...]] = {
     SimBackend.name: ("seed", "latency", "conditions", "netem"),
-    RealTimeBackend.name: (
-        "seed",
-        "latency",
-        "conditions",
-        "netem",
-        "time_scale",
-        "latency_scale",
-    ),
     SocketBackend.name: (
         "seed",
         "conditions",
@@ -373,9 +291,9 @@ _BACKEND_KWARGS: dict[str, tuple[str, ...]] = {
 def backend_by_name(name: str, **kwargs) -> ExecutionBackend:
     """Instantiate a built-in backend from its ``--backend`` name.
 
-    Keyword arguments not understood by the selected backend (e.g.
-    ``time_scale`` for the simulator, latency models for the socket backend)
-    are silently dropped, so call sites can pass one uniform set of knobs.
+    Keyword arguments not understood by the selected backend (e.g. latency
+    models for the socket backend, listen endpoints for the simulator) are
+    silently dropped, so call sites can pass one uniform set of knobs.
     """
     if name not in BACKENDS:
         raise ConfigurationError(

@@ -6,8 +6,8 @@ object per configured replica, and any number of clients -- and offers the
 convenience helpers used by the examples, the integration tests, the
 experiments, and the protocol-mode benchmarks.  The backend is pluggable:
 
-    deployment = Deployment.build(config, backend="sim")        # deterministic
-    deployment = Deployment.build(config, backend="realtime")   # asyncio
+    deployment = Deployment.build(config, backend="sim")      # deterministic
+    deployment = Deployment.build(config, backend="socket")   # real TCP
 
 Workload runs on either backend return the same :class:`RunResult`, so a
 figure or demo written against ``Deployment`` can switch clocks with a
@@ -41,7 +41,7 @@ class RunResult:
     """Unified outcome of one workload run, identical across backends.
 
     ``duration_s`` is protocol time (virtual seconds in the simulator,
-    unscaled seconds in real time), so throughput numbers are directly
+    wall-clock seconds on sockets), so throughput numbers are directly
     comparable between backends; ``wall_clock_s`` additionally reports how
     long the run took on the host.
     """
@@ -85,11 +85,6 @@ class RunResult:
     @property
     def throughput_tps(self) -> float:
         return self.completed / self.duration_s if self.duration_s > 0 else 0.0
-
-    @property
-    def wall_clock_seconds(self) -> float:
-        """Backwards-compatible alias for ``wall_clock_s``."""
-        return self.wall_clock_s
 
     def _latency_percentile(self, fraction: float) -> float:
         return percentile(sorted(self.latencies), fraction)
@@ -137,16 +132,12 @@ class Deployment:
         netem: NetemPolicy | None = None,
         seed: int = 2022,
         preload_table: bool = True,
-        time_scale: float = 0.05,
-        latency_scale: float | None = None,
         local_replicas: "set[ReplicaId] | frozenset[ReplicaId] | None" = None,
     ) -> "Deployment":
         """Build a deployment running ``replica_class`` on every replica.
 
-        ``backend`` is either a backend name (``"sim"`` / ``"realtime"`` /
-        ``"socket"``) or an already-constructed :class:`ExecutionBackend`;
-        ``time_scale`` and ``latency_scale`` only apply to the real-time
-        backend.
+        ``backend`` is either a backend name (``"sim"`` / ``"socket"``) or
+        an already-constructed :class:`ExecutionBackend`.
 
         ``netem`` is the shared link-emulation policy
         (:class:`~repro.netem.NetemPolicy`) applied to every backend's
@@ -163,14 +154,7 @@ class Deployment:
         default ``None`` every replica is hosted in-process.
         """
         if isinstance(backend, str):
-            backend = backend_by_name(
-                backend,
-                seed=seed,
-                latency=latency,
-                netem=netem,
-                time_scale=time_scale,
-                latency_scale=latency_scale,
-            )
+            backend = backend_by_name(backend, seed=seed, latency=latency, netem=netem)
         directory = Directory.from_config(config)
         emulator = getattr(backend.transport, "emulator", None)
         if emulator is not None:
@@ -249,7 +233,7 @@ class Deployment:
         return self.backend.now
 
     def close(self) -> None:
-        """Release backend resources (the real-time backend owns a loop)."""
+        """Release backend resources (the socket backend owns a loop)."""
         self.backend.close()
 
     def __enter__(self) -> "Deployment":

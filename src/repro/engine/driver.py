@@ -6,7 +6,7 @@ a consensus pipeline -- or injects at a fixed offered rate (open loop).  It
 only talks to the deployment through the :class:`~repro.engine.protocols`
 surfaces (``scheduler.schedule`` for its refill poll, ``backend.run_until``
 to drive), so the exact same driver code runs on the simulator and on the
-asyncio real-time stack, and every run returns the unified
+socket backend, and every run returns the unified
 :class:`~repro.engine.deployment.RunResult`.
 """
 
@@ -149,7 +149,7 @@ class SustainedLoadDriver:
     way.  Because arrivals are scheduled lazily (each one schedules the next)
     the driver itself holds O(1) state no matter how long the run is, and
     because it only talks to the deployment through the scheduler/backend
-    protocols it runs unchanged on the simulator and the real-time stack.
+    protocols it runs unchanged on the simulator and the socket backend.
     """
 
     deployment: Deployment
@@ -363,7 +363,6 @@ def run_sustained_load(
     seed: int = 2022,
     sample_interval: float = 0.25,
     max_duration: float = 600.0,
-    time_scale: float = 0.02,
     gc_enabled: bool = True,
 ):
     """Build a deployment and sustain Poisson load across checkpoint intervals.
@@ -384,7 +383,6 @@ def run_sustained_load(
         num_clients=num_clients,
         batch_size=batch_size,
         seed=seed,
-        time_scale=time_scale,
     )
     try:
         deployment.set_gc_enabled(gc_enabled)
@@ -417,7 +415,6 @@ def run_protocol_workload(
     batch_size: int = 1,
     seed: int = 2022,
     timeout: float = 300.0,
-    time_scale: float = 0.02,
 ) -> RunResult:
     """Build a deployment, run a generated closed-loop workload, return the result.
 
@@ -434,7 +431,6 @@ def run_protocol_workload(
         num_clients=num_clients,
         batch_size=batch_size,
         seed=seed,
-        time_scale=time_scale,
     )
     try:
         generator = YcsbWorkloadGenerator(

@@ -4,7 +4,7 @@ The protocol classes (``PbftReplica``, its subclasses, and ``Client``) touch
 their environment through three narrow surfaces only:
 
 * a :class:`Clock` -- ``now`` in *protocol seconds* (virtual seconds in the
-  simulator, scaled wall-clock seconds in real time);
+  simulator, wall-clock seconds on the socket backend);
 * a :class:`Scheduler` -- one-shot timers plus a deterministic random source;
 * a :class:`Transport` -- node registry and message delivery with fault
   conditions.
@@ -14,8 +14,8 @@ code, which is what makes the execution engine pluggable (the same pattern
 Hyperledger Sawtooth uses for dynamic consensus engines).  The two built-in
 implementations are the deterministic discrete-event simulator
 (:class:`repro.sim.kernel.Simulator` + :class:`repro.sim.network.Network`)
-and the asyncio real-time stack (:class:`repro.rt.transport.RealTimeScheduler`
-+ :class:`repro.rt.transport.AsyncNetwork`).
+and the real-TCP socket stack (:class:`repro.rt.transport.RealTimeScheduler`
++ :class:`repro.net.transport.SocketTransport`).
 """
 
 from __future__ import annotations

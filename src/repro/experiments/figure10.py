@@ -49,7 +49,6 @@ def run_protocol_validation(
     seed: int = 7,
     *,
     backend: str = "sim",
-    time_scale: float = 0.02,
 ) -> dict:
     """Execute one complex cross-shard transaction on the chosen backend.
 
@@ -72,7 +71,6 @@ def run_protocol_validation(
         replica_class=RingBftReplica,
         num_clients=1,
         batch_size=1,
-        time_scale=time_scale,
     )
     try:
         generator = YcsbWorkloadGenerator(

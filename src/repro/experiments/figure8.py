@@ -114,7 +114,7 @@ def run_protocol(
     """Protocol-mode smoke validation of the Figure 8 shard sweep.
 
     Runs the standard 30% cross-shard workload at message level on the chosen
-    execution backend (scaled down from 15x28 so realtime finishes in
+    execution backend (scaled down from 15x28 so a socket run finishes in
     seconds) and reports the unified run metrics per shard count.
     """
     rows: list[dict] = []

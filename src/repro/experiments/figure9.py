@@ -41,13 +41,12 @@ def run(
     config: Figure9Config | None = None,
     *,
     backend: str = "sim",
-    time_scale: float = 0.05,
 ) -> list[dict]:
     """Run the primary-failure experiment; one row per time bucket.
 
     ``backend`` selects the execution engine: ``"sim"`` (deterministic, the
-    default used by the benchmarks) or ``"realtime"`` (asyncio, delays
-    compressed by ``time_scale``).
+    default used by the benchmarks) or ``"socket"`` (real TCP loopback on the
+    wall clock, so the run lasts the full horizon in real seconds).
     """
     config = config or Figure9Config()
     timers = TimerConfig(
@@ -77,7 +76,6 @@ def run(
         num_clients=8,
         batch_size=1,
         seed=config.seed,
-        time_scale=time_scale,
     )
     try:
         generator = YcsbWorkloadGenerator(
@@ -150,4 +148,4 @@ SMOKE_CONFIG = Figure9Config(
 
 def run_protocol(backend: str = "sim", config: Figure9Config | None = None) -> list[dict]:
     """Protocol-mode smoke run of the failure experiment on either backend."""
-    return run(config or SMOKE_CONFIG, backend=backend, time_scale=0.05)
+    return run(config or SMOKE_CONFIG, backend=backend)

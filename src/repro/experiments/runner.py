@@ -37,7 +37,7 @@ def run_experiment(name: str, backend: str | None = None) -> list[dict]:
 
     With ``backend=None`` the experiment regenerates its figure the usual way
     (analytical model or simulator, depending on the figure).  With
-    ``backend="sim"`` / ``"realtime"`` the figure module's protocol-mode
+    ``backend="sim"`` / ``"socket"`` the figure module's protocol-mode
     validation runs through :class:`repro.engine.Deployment` on that backend
     instead, producing unified run metrics.
     """

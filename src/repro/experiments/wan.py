@@ -1,16 +1,16 @@
-"""WAN experiment: one geo workload, three execution backends, side by side.
+"""WAN experiment: one geo workload, both execution backends, side by side.
 
 The paper's headline results are geo-scale (one shard per GCP region); this
 experiment expresses a geo deployment once -- a :mod:`repro.netem` profile
 plus a seeded workload -- and runs it unchanged on the deterministic
-simulator, the asyncio real-time stack, and the TCP socket backend.  A single
-shared :class:`~repro.netem.NetemPolicy` object drives the link behaviour of
-all three runs, so the only thing that differs between rows is the clock and
+simulator and the TCP socket backend.  A single shared
+:class:`~repro.netem.NetemPolicy` object drives the link behaviour of both
+runs, so the only thing that differs between rows is the clock and
 the wire.
 
 Registered as ``wan-backends`` in the experiment registry::
 
-    ringbft run wan-backends            # all three backends
+    ringbft run wan-backends            # both backends
     ringbft run wan-backends --backend socket   # just one
 """
 
@@ -21,7 +21,7 @@ from repro.net.launcher import build_system_config, build_workload
 from repro.netem import NetemPolicy
 
 #: Backends compared by the default run, in reporting order.
-BACKENDS: tuple[str, ...] = ("sim", "realtime", "socket")
+BACKENDS: tuple[str, ...] = ("sim", "socket")
 
 #: Scaled-down standard settings (the full 15x28 paper scale belongs to the
 #: analytical model; this is a protocol-level experiment).
@@ -33,8 +33,6 @@ DEFAULTS = dict(
     num_clients=2,
     cross_shard=0.3,
     seed=2022,
-    #: Real-time backend only: delay/timer compression factor.
-    time_scale=0.05,
     timeout=120.0,
 )
 
@@ -85,8 +83,6 @@ def run_one(
         batch_size=1,
         seed=params["seed"],
         netem=policy,
-        time_scale=params["time_scale"],
-        latency_scale=params["time_scale"],
     )
     try:
         workload = build_workload(

@@ -403,8 +403,7 @@ class SocketTransport:
     def _send_frame(self, dst: Hashable, frame: bytes, delay: float) -> None:
         """Queue a frame for its peer, after the emulated link delay if any.
 
-        The hold happens send-side on the protocol scheduler (honouring the
-        backend's ``time_scale``), so the bytes hit the TCP socket only when
+        The hold happens send-side on the protocol scheduler, so the bytes hit the TCP socket only when
         the emulated propagation time has passed -- the receiving process
         measures genuine one-way WAN latency on its loopback connection.
 

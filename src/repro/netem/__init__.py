@@ -1,12 +1,11 @@
-"""Unified link emulation: one WAN model for all three execution backends.
+"""Unified link emulation: one WAN model for both execution backends.
 
 ``repro.netem`` owns the entire link model of a deployment -- per-link
 one-way delay derived from the region RTT matrix (or an explicit, possibly
 asymmetric :class:`DelayMatrix`), jitter, bandwidth/serialisation delay,
 steady-state loss, and the injected fault conditions -- behind one seeded,
 deterministic decision engine (:class:`LinkEmulator`).  The simulator's
-network, the asyncio real-time network, and the TCP socket transport all
-consume the same engine, so a geo workload expressed once as a
+network and the TCP socket transport both consume the same engine, so a geo workload expressed once as a
 :class:`NetemPolicy` runs identically (modulo clock) on any backend.
 """
 

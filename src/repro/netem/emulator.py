@@ -1,12 +1,12 @@
 """The link emulator: every per-link delivery decision, for every backend.
 
 One :class:`LinkEmulator` instance sits under each transport (simulated,
-asyncio real-time, TCP socket) and answers the only question a delivery layer
+TCP socket) and answers the only question a delivery layer
 needs to ask: *given a message of this size from src to dst, is it delivered,
 and after what one-way delay?*  Everything behind that answer -- region
 assignment, the :class:`~repro.netem.policy.NetemPolicy` delay/loss math,
 injected fault conditions, and the random draws -- is owned here, so the
-three backends cannot drift apart.
+two backends cannot drift apart.
 
 Determinism contract
 --------------------
@@ -16,7 +16,7 @@ Every (src, dst) link owns a private RNG stream seeded from
 Python hash randomisation).  A link's decision sequence therefore depends
 only on the sequence of sends *on that link*, not on global interleaving:
 the same seed and the same per-link traffic produce identical delay/loss
-decisions on the simulator, the real-time stack, and a socket fleet where
+decisions on the simulator and on a socket fleet where
 each process only ever sees its own outbound links.
 
 Draw order per decision is fixed and documented: one fault coin (always),

@@ -2,9 +2,8 @@
 
 A :class:`NetemPolicy` describes the steady-state behaviour of every link of
 one deployment.  It is pure description -- no randomness, no mutable state --
-so the same policy object can be handed to the simulator, the asyncio
-real-time network, and the TCP socket transport, and all three derive the
-identical :class:`LinkSpec` for any (source region, destination region) pair.
+so the same policy object can be handed to the simulator and the TCP socket
+transport, and both derive the identical :class:`LinkSpec` for any (source region, destination region) pair.
 The stateful side (per-link RNG streams, fault conditions, counters) lives in
 :class:`repro.netem.emulator.LinkEmulator`.
 
@@ -13,7 +12,7 @@ Delay resolution order for a link:
 1. an explicit :class:`DelayMatrix` entry for the (src, dst) region pair --
    this is how tests inject asymmetric matrices and how a measured RTT table
    would be plugged in;
-2. the great-circle :class:`~repro.sim.regions.LatencyModel` over the region
+2. the great-circle :class:`~repro.netem.regions.LatencyModel` over the region
    names (the default used for the GCP geo profiles).
 """
 

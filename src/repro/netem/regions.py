@@ -9,10 +9,6 @@ approximation for long-haul fibre) plus a small fixed overhead, which
 reproduces the qualitative structure the paper relies on: same-continent pairs
 are tens of milliseconds apart, trans-Pacific and trans-Atlantic pairs are
 100-200 ms apart.
-
-(Historically this module lived at :mod:`repro.sim.regions`; it moved into
-``repro.netem`` when the link model was unified across the execution
-backends.  The old path remains as a re-exporting shim.)
 """
 
 from __future__ import annotations

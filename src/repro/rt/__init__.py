@@ -1,16 +1,5 @@
-"""Real-time (asyncio) runtime: run the same protocol code outside the simulator."""
+"""Real-time (asyncio) scheduling: run the same protocol code on the wall clock."""
 
-from repro.rt.transport import AsyncNetwork, RealTimeScheduler
+from repro.rt.transport import RealTimeScheduler
 
-__all__ = ["AsyncNetwork", "RealTimeScheduler", "RealTimeCluster", "WorkloadResult"]
-
-
-def __getattr__(name: str):
-    # The deprecated RealTimeCluster shim builds on repro.engine, which itself
-    # imports this package for the transport; resolve it lazily (PEP 562) to
-    # keep the import graph acyclic.
-    if name in ("RealTimeCluster", "WorkloadResult"):
-        from repro.rt import runtime
-
-        return getattr(runtime, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["RealTimeScheduler"]

@@ -1,46 +1,23 @@
-"""Real-time transport: the simulator interfaces re-implemented over asyncio.
+"""Real-time scheduling: the simulator's timer interface over asyncio.
 
 The protocol classes (``PbftReplica``, ``RingBftReplica``, the baselines, and
 ``Client``) only interact with their environment through two narrow
 interfaces: a *scheduler* (``now``, ``schedule``, ``rng``) and a *network*
-(``register``, ``send``, ``conditions``).  In the default configuration those
-are provided by the deterministic discrete-event simulator; this module
-provides drop-in replacements backed by a running asyncio event loop, so the
-exact same replica code can be executed in real time -- messages become
-``call_later`` callbacks with real delays, timers become real timers.
-
-Link behaviour (WAN delay, jitter, loss, faults) comes from the same
-:class:`~repro.netem.LinkEmulator` the simulator uses, so a given seed
-produces the identical per-link delay/loss decisions on both clocks; the
-only real-time addition is ``latency_scale``, which compresses the decided
-delays so WAN-sized runs finish in wall-clock seconds.
-
-This is the "it actually runs on a clock" mode: useful for demos and for
-sanity-checking that protocol timings hold under real scheduling jitter.
-The genuine networked deployment exists too -- :mod:`repro.net` replaces
-:class:`AsyncNetwork` with a real TCP :class:`~repro.net.transport.SocketTransport`
-(reusing :class:`RealTimeScheduler` for timers), and the multi-process
-launcher behind ``ringbft deploy-local`` runs one OS process per replica
-over it.  Neither real-time mode regenerates the paper's figures -- the
-calibrated analytical model and the simulator are far better suited for that.
+(``register``, ``send``, ``conditions``).  In the deterministic configuration
+both come from the discrete-event simulator; on the socket backend the
+network is a real TCP :class:`~repro.net.transport.SocketTransport` and the
+scheduler is the :class:`RealTimeScheduler` defined here, so the exact same
+replica code runs with real timers on the wall clock.  The multi-process
+launcher behind ``ringbft deploy-local`` runs one OS process per replica on
+top of the pair.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
 
-from repro.errors import ConfigurationError, NetworkError, SimulationError
-from repro.netem.conditions import NetworkConditions
-from repro.netem.emulator import LinkEmulator
-from repro.netem.policy import NetemPolicy
-from repro.netem.regions import LatencyModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.common.messages import Message
-    from repro.sim.node import Node
+from repro.errors import SimulationError
 
 
 class _AsyncTimerHandle:
@@ -68,26 +45,20 @@ class RealTimeScheduler:
     """Scheduler facade over a running asyncio event loop.
 
     Exposes the subset of :class:`repro.sim.kernel.Simulator` the nodes use:
-    ``now``, ``schedule``, ``schedule_at``, and ``rng``.  ``time_scale``
-    compresses (or stretches) every delay, which keeps demos snappy while
-    preserving relative timer ordering.
+    ``now``, ``schedule``, ``schedule_at``, and ``rng``.  Protocol time is
+    wall-clock time: every delay is a real delay on ``loop``.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop | None = None, *, seed: int = 2022,
-                 time_scale: float = 1.0) -> None:
-        self._loop = loop or asyncio.get_event_loop()
+    def __init__(self, loop: asyncio.AbstractEventLoop, *, seed: int = 2022) -> None:
+        self._loop = loop
         self._rng = random.Random(seed)
-        self.seed = seed
-        if time_scale <= 0:
-            raise SimulationError("time_scale must be positive")
-        self._time_scale = time_scale
         self._origin = self._loop.time()
         self._scheduled = 0
 
     @property
     def now(self) -> float:
-        """Elapsed (unscaled) protocol time since the scheduler was created."""
-        return (self._loop.time() - self._origin) / self._time_scale
+        """Elapsed protocol time since the scheduler was created."""
+        return self._loop.time() - self._origin
 
     @property
     def rng(self) -> random.Random:
@@ -101,110 +72,8 @@ class RealTimeScheduler:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._scheduled += 1
-        handle = self._loop.call_later(delay * self._time_scale, callback, *args)
+        handle = self._loop.call_later(delay, callback, *args)
         return _AsyncTimerHandle(handle, self.now + delay)
 
     def schedule_at(self, time: float, callback, *args) -> _AsyncTimerHandle:
         return self.schedule(max(0.0, time - self.now), callback, *args)
-
-
-@dataclass
-class _AsyncDeliveryStats:
-    delivered: int = 0
-    dropped: int = 0
-    bytes_delivered: int = 0
-    #: Fan-out operations served by the multicast fast path (counted once
-    #: per multicast, independent of audience size).
-    multicasts: int = 0
-
-
-class AsyncNetwork:
-    """Message fabric over asyncio: API-compatible with ``repro.sim.network.Network``."""
-
-    def __init__(
-        self,
-        scheduler: RealTimeScheduler,
-        latency: LatencyModel | None = None,
-        conditions: NetworkConditions | None = None,
-        emulator: LinkEmulator | None = None,
-        *,
-        latency_scale: float = 1.0,
-    ) -> None:
-        self._scheduler = scheduler
-        if emulator is None:
-            emulator = LinkEmulator(
-                NetemPolicy(latency=latency or LatencyModel()),
-                conditions,
-                seed=scheduler.seed,
-            )
-        elif latency is not None or conditions is not None:
-            # Mirror sim.network.Network: an emulator owns its policy and
-            # conditions, so the standalone arguments must not coexist.
-            raise ConfigurationError(
-                "pass either an emulator or latency/conditions, not both"
-            )
-        self._emulator = emulator
-        self._latency_scale = latency_scale
-        self._nodes: dict[Hashable, "Node"] = {}
-        self.stats = _AsyncDeliveryStats()
-
-    # The node base class accesses ``network.simulator`` for time and timers.
-    @property
-    def simulator(self) -> RealTimeScheduler:
-        return self._scheduler
-
-    @property
-    def emulator(self) -> LinkEmulator:
-        return self._emulator
-
-    @property
-    def conditions(self) -> NetworkConditions:
-        return self._emulator.conditions
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        policy = self._emulator.policy
-        return policy.latency if policy is not None else LatencyModel()
-
-    def register(self, node: "Node") -> None:
-        if node.address in self._nodes:
-            raise NetworkError(f"address {node.address!r} is already registered")
-        self._nodes[node.address] = node
-        self._emulator.assign_region(node.address, node.region)
-
-    def node(self, address: Hashable) -> "Node":
-        if address not in self._nodes:
-            raise NetworkError(f"unknown node address {address!r}")
-        return self._nodes[address]
-
-    def known_addresses(self) -> tuple[Hashable, ...]:
-        return tuple(self._nodes)
-
-    def send(self, src: Hashable, dst: Hashable, message: "Message") -> None:
-        self._send_one(src, dst, message, message.wire_size())
-
-    def _send_one(self, src: Hashable, dst: Hashable, message: "Message", size: int) -> None:
-        if dst not in self._nodes:
-            raise NetworkError(f"cannot deliver to unknown address {dst!r}")
-        deliver, delay = self._emulator.decide(src, dst, size)
-        if not deliver:
-            self.stats.dropped += 1
-            return
-        self._scheduler.schedule(
-            delay * self._latency_scale, self._deliver_event, self._nodes[dst], message, size
-        )
-
-    def _deliver_event(self, receiver: "Node", message: "Message", size: int) -> None:
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += size
-        receiver.deliver(message)
-
-    def multicast(self, src: Hashable, dsts, message: "Message") -> None:
-        """Fan-out fast path mirroring ``sim.network.Network.multicast``:
-        wire size resolved once, one shared payload."""
-        if not dsts:
-            return
-        size = message.wire_size()
-        self.stats.multicasts += 1
-        for dst in dsts:
-            self._send_one(src, dst, message, size)

@@ -2,7 +2,7 @@
 
 from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.network import Network, NetworkConditions
-from repro.sim.regions import LatencyModel, region_rtt_seconds
+from repro.netem.regions import LatencyModel, region_rtt_seconds
 from repro.sim.node import Node
 
 __all__ = [

@@ -6,7 +6,7 @@ propagation, per-message serialisation delay, jitter, steady-state loss, and
 the injected fault conditions (message loss, one-directional link blocks for
 the paper's *no communication* / *partial communication* cross-shard attacks,
 and full node isolation) are all owned by one :class:`~repro.netem.LinkEmulator`
--- the same engine the real-time and socket transports consume, so a WAN
+-- the same engine the socket transport consumes, so a WAN
 scenario expressed once runs identically on every backend.
 """
 

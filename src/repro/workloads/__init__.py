@@ -1,11 +1,12 @@
-"""Workload generation: YCSB-style transactions and open-loop client drivers."""
+"""Workload generation: YCSB-style transactions.
+
+The client drivers that feed them to a deployment live in
+:mod:`repro.engine.driver`.
+"""
 
 from repro.workloads.ycsb import YcsbWorkloadGenerator, ZipfianGenerator
-from repro.workloads.clients import ClosedLoopDriver, OpenLoopDriver
 
 __all__ = [
     "YcsbWorkloadGenerator",
     "ZipfianGenerator",
-    "ClosedLoopDriver",
-    "OpenLoopDriver",
 ]

@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite.
 
-Protocol-mode fixtures build small deterministic clusters (3-4 shards of 4
+Protocol-mode fixtures build small deterministic deployments (3-4 shards of 4
 replicas) that run in well under a second of wall-clock time; the analytical
 model is exercised directly at paper scale.
 """
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig, TimerConfig, WorkloadConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.txn.transaction import TransactionBuilder
 
 
@@ -43,10 +43,10 @@ def build_cluster(
     num_clients: int = 1,
     seed: int = 2022,
     **workload_overrides,
-) -> Cluster:
+) -> Deployment:
     config = small_system(num_shards, replicas, **workload_overrides)
-    return Cluster.build(
-        config,
+    return Deployment.build(
+        config, backend="sim",
         replica_class=replica_class,
         num_clients=num_clients,
         batch_size=1,
@@ -55,7 +55,7 @@ def build_cluster(
 
 
 @pytest.fixture
-def ring_cluster() -> Cluster:
+def ring_cluster() -> Deployment:
     """A 3-shard, 4-replica RingBFT cluster with one client."""
     return build_cluster()
 

@@ -1,12 +1,11 @@
-"""Integration tests: the Cluster harness and the workload drivers."""
+"""Integration tests: the Deployment harness and the workload drivers."""
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig
+from repro.engine import Deployment, OpenLoopWorkloadDriver, WorkloadDriver
 from repro.errors import ConfigurationError
 from repro.metrics.collector import summarize
-from repro.workloads.clients import ClosedLoopDriver, OpenLoopDriver
 from repro.workloads.ycsb import YcsbWorkloadGenerator
 
 from tests.conftest import build_cluster, small_workload
@@ -56,9 +55,9 @@ class TestDrivers:
 
     def test_closed_loop_driver_completes_requested_transactions(self):
         cluster, generator = self._cluster_with_generator()
-        driver = ClosedLoopDriver(cluster, generator, total=12, window=2)
-        completed = driver.run(timeout=300.0)
-        assert completed == 12
+        driver = WorkloadDriver(cluster, generator, total=12, window=2)
+        result = driver.run(timeout=300.0)
+        assert result.completed == 12
         assert driver.submitted == 12
         summary = summarize(
             [record for client in cluster.clients.values() for record in client.completed]
@@ -68,14 +67,14 @@ class TestDrivers:
 
     def test_open_loop_driver_injects_at_configured_rate(self):
         cluster, generator = self._cluster_with_generator(cross=0.0, num_clients=2)
-        driver = OpenLoopDriver(cluster, generator, rate_per_second=10.0, duration=2.0)
-        completed = driver.run(extra_drain=20.0)
+        driver = OpenLoopWorkloadDriver(cluster, generator, rate_per_second=10.0, duration=2.0)
+        result = driver.run(extra_drain=20.0)
         assert driver.submitted == 20
-        assert completed == 20
+        assert result.completed == 20
 
     def test_ledgers_stay_consistent_under_driver_load(self):
         cluster, generator = self._cluster_with_generator(cross=0.5)
-        ClosedLoopDriver(cluster, generator, total=10, window=2).run(timeout=300.0)
+        WorkloadDriver(cluster, generator, total=10, window=2).run(timeout=300.0)
         for shard in cluster.config.shard_ids:
             assert cluster.ledgers_consistent(shard)
 
@@ -85,6 +84,6 @@ class TestUniformConfigIntegration:
         # Building the object graph for the paper's 420-replica deployment
         # must be cheap (no simulation is run here).
         config = SystemConfig.uniform(15, 28)
-        cluster = Cluster.build(config, num_clients=1, preload_table=False)
+        cluster = Deployment.build(config, backend="sim", num_clients=1, preload_table=False)
         assert len(cluster.replicas) == 420
         assert cluster.directory.quorum(0).commit_quorum == 19

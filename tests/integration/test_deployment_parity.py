@@ -1,26 +1,31 @@
-"""Integration tests: the unified Deployment harness and sim/realtime parity.
+"""Integration tests: the unified Deployment harness and sim/socket parity.
 
 The same protocol code must behave the same on both execution backends: every
 transaction of a small cross-shard workload completes, ledgers stay
-consistent, and both runs report the unified ``RunResult`` shape.
+consistent, and both runs report the unified ``RunResult`` shape.  The socket
+runs push every message through the wire loopback (encode, frame, TCP,
+decode, MAC-verify) on the wall clock.
 """
 
 import pytest
 
-from repro.config import SystemConfig, WorkloadConfig
+from repro.config import SystemConfig, TimerConfig, WorkloadConfig
 from repro.engine import (
+    BACKENDS,
     Deployment,
-    RealTimeBackend,
     RunResult,
     SimBackend,
+    SocketBackend,
+    SustainedLoadDriver,
     WorkloadDriver,
     backend_by_name,
+    run_sustained_load,
 )
 from repro.errors import ConfigurationError
 from repro.txn.transaction import TransactionBuilder
 from repro.workloads.ycsb import YcsbWorkloadGenerator
 
-BACKEND_NAMES = ("sim", "realtime")
+BACKEND_NAMES = ("sim", "socket")
 
 
 def _config(num_shards=2, cross=0.5):
@@ -56,22 +61,24 @@ def _mixed_workload(num_shards=2):
 
 class TestBackendRegistry:
     def test_backend_by_name_builds_both_backends(self):
+        assert set(BACKENDS) == {"sim", "socket"}
         sim = backend_by_name("sim", seed=1)
         assert isinstance(sim, SimBackend)
-        rt = backend_by_name("realtime", seed=1, time_scale=0.01)
-        assert isinstance(rt, RealTimeBackend)
-        rt.close()
+        wire = backend_by_name("socket", seed=1)
+        assert isinstance(wire, SocketBackend)
+        wire.close()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            backend_by_name("quantum")
+    @pytest.mark.parametrize("name", ["quantum", "realtime"])
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=r"known: \['sim', 'socket'\]"):
+            backend_by_name(name)
 
-    def test_sim_backend_ignores_realtime_only_knobs(self):
-        backend = backend_by_name("sim", seed=1, time_scale=0.01, latency_scale=0.5)
+    def test_sim_backend_ignores_socket_only_knobs(self):
+        backend = backend_by_name("sim", seed=1, listen=("127.0.0.1", 0), wire_loopback=False)
         assert isinstance(backend, SimBackend)
 
-    def test_realtime_backend_rejects_drain(self):
-        backend = RealTimeBackend(time_scale=0.01)
+    def test_socket_backend_rejects_drain(self):
+        backend = SocketBackend()
         with pytest.raises(ConfigurationError):
             backend.drain()
         backend.close()
@@ -81,9 +88,7 @@ class TestDeploymentParity:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_mixed_workload_completes_with_consistent_ledgers(self, backend):
         config = _config()
-        deployment = Deployment.build(
-            config, backend=backend, num_clients=2, batch_size=1, time_scale=0.02
-        )
+        deployment = Deployment.build(config, backend=backend, num_clients=2, batch_size=1)
         try:
             result = deployment.run_workload(_mixed_workload(), timeout=120.0)
             assert isinstance(result, RunResult)
@@ -106,9 +111,7 @@ class TestDeploymentParity:
         """The cross-shard write set lands identically under either clock."""
         states = {}
         for backend in BACKEND_NAMES:
-            deployment = Deployment.build(
-                _config(), backend=backend, num_clients=2, batch_size=1, time_scale=0.02
-            )
+            deployment = Deployment.build(_config(), backend=backend, num_clients=2, batch_size=1)
             try:
                 result = deployment.run_workload(_mixed_workload(), timeout=120.0)
                 assert result.all_completed
@@ -119,14 +122,12 @@ class TestDeploymentParity:
                 }
             finally:
                 deployment.close()
-        assert states["sim"] == states["realtime"]
+        assert states["sim"] == states["socket"]
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_workload_driver_is_backend_agnostic(self, backend):
         config = _config(cross=0.4)
-        deployment = Deployment.build(
-            config, backend=backend, num_clients=2, batch_size=1, time_scale=0.02
-        )
+        deployment = Deployment.build(config, backend=backend, num_clients=2, batch_size=1)
         try:
             generator = YcsbWorkloadGenerator(
                 deployment.table, deployment.directory.ring, config.workload, seed=11
@@ -140,10 +141,7 @@ class TestDeploymentParity:
             deployment.close()
 
     @staticmethod
-    def _sustained_load_once(backend, seed, time_scale):
-        from repro.config import TimerConfig
-        from repro.engine import run_sustained_load
-
+    def _sustained_config(seed):
         timers = TimerConfig(
             local_timeout=1.0,
             remote_timeout=2.0,
@@ -151,7 +149,7 @@ class TestDeploymentParity:
             client_timeout=1.5,
             checkpoint_interval=2,
         )
-        config = SystemConfig.uniform(
+        return SystemConfig.uniform(
             2,
             4,
             timers=timers,
@@ -163,53 +161,54 @@ class TestDeploymentParity:
                 seed=seed,
             ),
         )
-        result, driver = run_sustained_load(
-            config,
-            backend=backend,
-            rate_per_second=100.0,
-            checkpoint_intervals=4,
-            seed=seed,
-            sample_interval=0.2,
-            max_duration=120.0,
-            time_scale=time_scale,
+
+    @staticmethod
+    def _sustained_on_socket(config, seed):
+        """The socket variant drives :class:`SustainedLoadDriver` directly:
+        protocol time is wall time there, so it drains for half a second
+        instead of ``run_sustained_load``'s ten and samples every 20 ms to
+        catch the retained log between checkpoints."""
+        deployment = Deployment.build(
+            config, backend="socket", num_clients=2, batch_size=1, seed=seed
         )
+        try:
+            generator = YcsbWorkloadGenerator(
+                deployment.table, deployment.directory.ring, config.workload, seed=seed
+            )
+            driver = SustainedLoadDriver(
+                deployment,
+                generator,
+                rate_per_second=100.0,
+                checkpoint_intervals=4,
+                seed=seed,
+                sample_interval=0.02,
+                max_duration=120.0,
+                drain=0.5,
+            )
+            return driver.run(), driver
+        finally:
+            deployment.close()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_sustained_load_driver_is_backend_agnostic(self, backend):
+        """Sustained Poisson load reaches its checkpoint target on both backends."""
+        config = self._sustained_config(seed=11)
+        if backend == "sim":
+            result, driver = run_sustained_load(
+                config,
+                backend="sim",
+                rate_per_second=100.0,
+                checkpoint_intervals=4,
+                seed=11,
+                sample_interval=0.2,
+                max_duration=120.0,
+            )
+        else:
+            result, driver = self._sustained_on_socket(config, seed=11)
         assert driver.stable_floor() >= driver.target_sequence
         assert result.ledgers_consistent
         assert driver.series.samples, "retained-state gauges were sampled"
         assert driver.series.peak("log_slots") > 0
-
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    @pytest.mark.load_sensitive
-    def test_sustained_load_driver_is_backend_agnostic(self, backend):
-        """Sustained Poisson load reaches its checkpoint target on both backends.
-
-        The sim variant is fully deterministic and gets exactly one attempt.
-        The realtime variant drives real asyncio timers at time_scale=0.01, so
-        a loaded host can fire protocol timeouts late enough to trigger
-        spurious view changes mid-run; it gets a marked retry (fresh
-        deployment, shifted seed) and is quarantined with an explicit skip if
-        the host never sustains the timing -- a deterministic protocol
-        regression still fails the sim variant on the first attempt.
-        """
-        if backend == "sim":
-            self._sustained_load_once(backend, seed=11, time_scale=0.01)
-            return
-        attempts = 3
-        for attempt in range(attempts):
-            try:
-                # A slower clock on later attempts gives the loaded host more
-                # wall-clock room per protocol second.
-                self._sustained_load_once(
-                    backend, seed=11 + attempt, time_scale=0.01 * (attempt + 1)
-                )
-                return
-            except AssertionError:
-                if attempt == attempts - 1:
-                    pytest.skip(
-                        "load-sensitive: the realtime sustained-load run did not "
-                        f"settle in {attempts} attempts on this host (wall-clock "
-                        "timer jitter); the sim variant covers the protocol logic"
-                    )
 
     def test_repeated_runs_report_windowed_metrics(self):
         """Driving one deployment twice yields per-run numbers, not totals."""
@@ -243,17 +242,15 @@ class TestDeploymentParity:
     def test_run_result_row_shape_is_identical(self):
         rows = {}
         for backend in BACKEND_NAMES:
-            deployment = Deployment.build(
-                _config(), backend=backend, num_clients=2, batch_size=1, time_scale=0.02
-            )
+            deployment = Deployment.build(_config(), backend=backend, num_clients=2, batch_size=1)
             try:
                 rows[backend] = deployment.run_workload(
                     _mixed_workload(), timeout=120.0
                 ).as_row()
             finally:
                 deployment.close()
-        assert set(rows["sim"]) == set(rows["realtime"])
-        assert rows["sim"]["completed"] == rows["realtime"]["completed"] == 5
+        assert set(rows["sim"]) == set(rows["socket"])
+        assert rows["sim"]["completed"] == rows["socket"]["completed"] == 5
 
 
 class TestCrossBackendDeterminism:
@@ -263,7 +260,7 @@ class TestCrossBackendDeterminism:
     pinned by the workload rather than by scheduling jitter; the assertion
     then checks that the *byte-level* protocol outcome -- block sequences,
     transaction order, Merkle roots, and chained block hashes -- is identical
-    under the simulator clock and the asyncio clock after the codec swap.
+    under the simulator clock and over the socket wire loopback.
     """
 
     @staticmethod
@@ -282,7 +279,7 @@ class TestCrossBackendDeterminism:
                 ),
             )
             deployment = Deployment.build(
-                config, backend=backend, num_clients=1, batch_size=1, time_scale=0.02, seed=11
+                config, backend=backend, num_clients=1, batch_size=1, seed=11
             )
             try:
                 generator = YcsbWorkloadGenerator(
@@ -305,7 +302,7 @@ class TestCrossBackendDeterminism:
 
     def test_commit_order_and_digests_match_across_backends(self):
         chains = self._chains()
-        assert chains["sim"] == chains["realtime"]
+        assert chains["sim"] == chains["socket"]
         # The workload must actually have committed work on every shard.
         for shard_chain in chains["sim"].values():
             assert len(shard_chain) > 1
@@ -313,8 +310,8 @@ class TestCrossBackendDeterminism:
 
 class TestDeploymentHarness:
     def test_context_manager_closes_backend(self):
-        with Deployment.build(_config(), backend="realtime", time_scale=0.01) as deployment:
-            assert deployment.backend.name == "realtime"
+        with Deployment.build(_config(), backend="socket") as deployment:
+            assert deployment.backend.name == "socket"
         # A second close is harmless.
         deployment.close()
 
@@ -323,10 +320,3 @@ class TestDeploymentHarness:
         assert deployment.simulator is deployment.backend.scheduler
         assert deployment.network is deployment.backend.transport
         assert deployment.scheduler is deployment.simulator
-
-    def test_cluster_shim_is_a_sim_deployment(self):
-        from repro.cluster import Cluster
-
-        cluster = Cluster.build(_config(), num_clients=1)
-        assert isinstance(cluster, Deployment)
-        assert cluster.backend.name == "sim"

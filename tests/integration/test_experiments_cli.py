@@ -166,3 +166,11 @@ class TestRunnerAndCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "not-a-figure"])
+
+    @pytest.mark.parametrize("flags", [["--backend", "realtime"], ["--time-scale", "0.02"]])
+    def test_cli_demo_rejects_removed_options(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err

@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.common.messages import (
     ClientRequest,
     PrePrepare,
@@ -26,6 +25,7 @@ from repro.common.messages import (
 )
 from repro.config import PipelineConfig, SystemConfig, TimerConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.txn.transaction import TransactionBuilder
 
 from tests.conftest import small_workload
@@ -52,8 +52,8 @@ def _pipelined_cluster(
         workload=small_workload(),
         pipeline=PipelineConfig(depth=depth),
     )
-    return Cluster.build(
-        config, replica_class=RingBftReplica, num_clients=num_clients, batch_size=1
+    return Deployment.build(
+        config, backend="sim", replica_class=RingBftReplica, num_clients=num_clients, batch_size=1
     )
 
 
@@ -97,8 +97,8 @@ class TestPipelinedWindow:
             if pipelined:
                 kwargs["pipeline"] = PipelineConfig(depth=1)
             config = SystemConfig.uniform(1, 4, **kwargs)
-            cluster = Cluster.build(
-                config, replica_class=RingBftReplica, num_clients=1, batch_size=1
+            cluster = Deployment.build(
+                config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1
             )
             for i in range(8):
                 cluster.submit(_single_txn(cluster, 0, i, f"classic-{i}"))

@@ -188,7 +188,7 @@ class TestComplexCrossShard:
 
 class TestRingOrderVariants:
     def test_custom_ring_permutation_still_completes(self):
-        from repro.cluster import Cluster
+        from repro.engine import Deployment
         from repro.config import ShardConfig, SystemConfig
 
         from tests.conftest import small_workload
@@ -198,14 +198,14 @@ class TestRingOrderVariants:
             workload=small_workload(),
             ring_order=(2, 0, 1),
         )
-        cluster = Cluster.build(config, num_clients=1, batch_size=1)
+        cluster = Deployment.build(config, backend="sim", num_clients=1, batch_size=1)
         txn = _cross_txn(cluster, (0, 1, 2), "perm-cst")
         cluster.submit(txn)
         assert cluster.run_until_clients_done(timeout=60.0)
         assert cluster.completed_transactions() == 1
 
     def test_heterogeneous_shard_sizes(self):
-        from repro.cluster import Cluster
+        from repro.engine import Deployment
         from repro.config import ShardConfig, SystemConfig
 
         from tests.conftest import small_workload
@@ -214,7 +214,7 @@ class TestRingOrderVariants:
             shards=(ShardConfig(0, 4), ShardConfig(1, 7)),
             workload=small_workload(),
         )
-        cluster = Cluster.build(config, num_clients=1, batch_size=1)
+        cluster = Deployment.build(config, backend="sim", num_clients=1, batch_size=1)
         txn = _cross_txn(cluster, (0, 1), "hetero-cst")
         cluster.submit(txn)
         assert cluster.run_until_clients_done(timeout=60.0)

@@ -1,9 +1,9 @@
 """Integration tests: RingBFT under crash, Byzantine, and network attacks (Section 5)."""
 
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig, TimerConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.faults.injector import FaultInjector
 from repro.txn.transaction import TransactionBuilder
 
@@ -11,14 +11,16 @@ from tests.conftest import small_workload
 
 
 def _fault_cluster(num_shards=3, replicas=4, seed=2022):
-    """Cluster with short timers so recovery paths run quickly in tests."""
+    """Deployment with short timers so recovery paths run quickly in tests."""
     timers = TimerConfig(
         local_timeout=1.0, remote_timeout=2.0, transmit_timeout=3.0, client_timeout=1.5
     )
     config = SystemConfig.uniform(
         num_shards, replicas, timers=timers, workload=small_workload()
     )
-    return Cluster.build(config, replica_class=RingBftReplica, num_clients=1, batch_size=1, seed=seed)
+    return Deployment.build(
+        config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1, seed=seed
+    )
 
 
 def _single_txn(cluster, shard, txn_id):

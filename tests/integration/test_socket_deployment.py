@@ -50,11 +50,9 @@ def _mixed_workload(num_shards=2):
 
 class TestSocketBackendRegistry:
     def test_backend_by_name_builds_socket_backend(self):
-        backend = backend_by_name("socket", seed=1, time_scale=0.02, latency=None)
+        backend = backend_by_name("socket", seed=1, latency=None)
         try:
             assert isinstance(backend, SocketBackend)
-            # time_scale is dropped for sockets: protocol time is wall time.
-            assert backend.time_scale == 1.0
             host, port = backend.listen_endpoint
             assert port > 0
         finally:
@@ -139,6 +137,52 @@ class TestSingleProcessSocketDeployment:
             finally:
                 deployment.close()
         assert outcomes["sim"] == outcomes["socket"]
+
+    def test_single_shard_transaction_completes_in_wall_clock_time(self):
+        with Deployment.build(_config(num_shards=1), backend="socket") as deployment:
+            txn = (
+                TransactionBuilder("wire-single", "client-0")
+                .read_modify_write(0, "user3", "wire-value")
+                .build()
+            )
+            result = deployment.run_workload([txn], timeout=10.0)
+            assert result.all_completed
+            assert result.wall_clock_s < 10.0
+            assert all(
+                replica.store.read("user3") == "wire-value"
+                for replica in deployment.shard_replicas(0)
+            )
+
+    def test_cross_shard_transaction_travels_the_ring(self):
+        with Deployment.build(_config(), backend="socket") as deployment:
+            txn = (
+                TransactionBuilder("wire-cross", "client-0")
+                .read_modify_write(0, "user3", "wire@0")
+                .read_modify_write(1, "user150", "wire@1")
+                .build()
+            )
+            result = deployment.run_workload([txn], timeout=20.0)
+            assert result.all_completed
+            counts = deployment.message_counts()
+            assert counts.get("Forward", 0) > 0
+            assert counts.get("Execute", 0) > 0
+            for shard, key, value in ((0, "user3", "wire@0"), (1, "user150", "wire@1")):
+                assert all(r.store.read(key) == value for r in deployment.shard_replicas(shard))
+
+    def test_small_mixed_workload_and_metrics(self):
+        with Deployment.build(_config(), backend="socket", num_clients=2) as deployment:
+            transactions = [
+                TransactionBuilder(f"wire-mix-{i}", f"client-{i % 2}")
+                .read_modify_write(i % 2, f"user{3 + i}", f"v{i}")
+                .build()
+                for i in range(4)
+            ]
+            result = deployment.run_workload(transactions, timeout=20.0)
+            assert result.all_completed
+            assert result.throughput_tps > 0
+            assert result.avg_latency > 0
+            for shard in (0, 1):
+                assert deployment.ledgers_consistent(shard)
 
 
 @pytest.mark.slow

@@ -1,8 +1,8 @@
 """Integration tests: checkpoint-driven state transfer (dark replicas, recovery)."""
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig, TimerConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.faults.injector import FaultInjector
 from repro.txn.transaction import TransactionBuilder
 
@@ -20,7 +20,9 @@ def _cluster(checkpoint_interval=2, num_shards=1):
     config = SystemConfig.uniform(
         num_shards, 4, timers=timers, workload=small_workload()
     )
-    return Cluster.build(config, replica_class=RingBftReplica, num_clients=1, batch_size=1)
+    return Deployment.build(
+        config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1
+    )
 
 
 def _txn(cluster, shard, index, txn_id):

@@ -5,9 +5,9 @@ memory, yet never discard evidence that a view change, a dark-replica
 catch-up, or an in-flight cross-shard rotation still needs.
 """
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig, TimerConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.faults.injector import FaultInjector
 from repro.txn.transaction import TransactionBuilder
 
@@ -24,7 +24,9 @@ def _cluster(checkpoint_interval=2, num_shards=1, max_forward_retransmissions=50
         max_forward_retransmissions=max_forward_retransmissions,
     )
     config = SystemConfig.uniform(num_shards, 4, timers=timers, workload=small_workload())
-    return Cluster.build(config, replica_class=RingBftReplica, num_clients=1, batch_size=1)
+    return Deployment.build(
+        config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1
+    )
 
 
 def _single_txn(cluster, shard, index, txn_id):

@@ -1,9 +1,9 @@
-"""Integration tests: one WAN model across the three execution backends.
+"""Integration tests: one WAN model across both execution backends.
 
 The acceptance bar for the unified link model:
 
-* the same seeded geo workload completes on the simulator, the asyncio
-  real-time stack, and the TCP socket backend through one shared
+* the same seeded geo workload completes on the simulator and the TCP
+  socket backend through one shared
   :class:`~repro.netem.NetemPolicy` object;
 * the socket backend's *measured* per-link one-way delays match the
   configured (asymmetric) matrix within tolerance;
@@ -23,17 +23,17 @@ from repro.sim.node import Node
 
 
 class TestSharedPolicyAcrossBackends:
-    def test_same_geo_workload_completes_on_all_three_backends(self):
-        """One NetemPolicy object, one seeded workload, three substrates."""
+    def test_same_geo_workload_completes_on_both_backends(self):
+        """One NetemPolicy object, one seeded workload, two substrates."""
         rows = wan.run(
-            backends=("sim", "realtime", "socket"),
+            backends=("sim", "socket"),
             transactions=6,
             shards=2,
             replicas_per_shard=4,
             geo="wan3",
             seed=2022,
         )
-        assert [row["backend"] for row in rows] == ["sim", "realtime", "socket"]
+        assert [row["backend"] for row in rows] == ["sim", "socket"]
         for row in rows:
             assert row["completed"] == "6/6", row
             assert row["consistent"], row
@@ -198,20 +198,20 @@ class TestSimScheduleDeterminism:
         assert baseline[0].latencies != other[0].latencies
 
 
-class TestSimRealtimeDecisionParity:
+class TestSimSocketDecisionParity:
     def test_same_seed_identical_link_decisions_across_backend_emulators(self):
-        """The emulators inside a sim and a realtime backend built from the
+        """The emulators inside a sim and a socket backend built from the
         same seed+policy answer identically for identical traffic."""
         from repro.engine import backend_by_name
 
         policy = NetemPolicy.for_profile("wan3")
         sim = backend_by_name("sim", seed=13, netem=policy)
-        rt = backend_by_name("realtime", seed=13, netem=policy)
+        wire = backend_by_name("socket", seed=13, netem=policy)
         try:
-            for emulator in (sim.transport.emulator, rt.transport.emulator):
+            for emulator in (sim.transport.emulator, wire.transport.emulator):
                 emulator.assign_regions({"a": "oregon", "b": "montreal"})
             sim_decisions = [sim.transport.emulator.decide("a", "b", 512) for _ in range(40)]
-            rt_decisions = [rt.transport.emulator.decide("a", "b", 512) for _ in range(40)]
-            assert sim_decisions == rt_decisions
+            wire_decisions = [wire.transport.emulator.decide("a", "b", 512) for _ in range(40)]
+            assert sim_decisions == wire_decisions
         finally:
-            rt.close()
+            wire.close()

@@ -4,7 +4,7 @@ and the unroutable-request accounting."""
 import pytest
 
 from repro.common.crypto import KeyStore, Signature, SignatureScheme, verify_certificate
-from repro.engine.backends import RealTimeBackend, SimBackend
+from repro.engine.backends import SimBackend, SocketBackend
 from repro.engine.protocols import Clock, Scheduler, Transport
 from repro.errors import CryptoError
 from repro.sim.kernel import Simulator
@@ -17,8 +17,8 @@ class TestStructuralProtocols:
         assert isinstance(backend.scheduler, Scheduler)
         assert isinstance(backend.transport, Transport)
 
-    def test_realtime_backend_satisfies_protocols(self):
-        backend = RealTimeBackend(seed=1, time_scale=0.01)
+    def test_socket_backend_satisfies_protocols(self):
+        backend = SocketBackend(seed=1)
         try:
             assert isinstance(backend.scheduler, Clock)
             assert isinstance(backend.scheduler, Scheduler)

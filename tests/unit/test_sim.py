@@ -8,7 +8,7 @@ from repro.errors import NetworkError, SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.regions import LatencyModel, region_rtt_seconds, rtt_matrix
+from repro.netem.regions import LatencyModel, region_rtt_seconds, rtt_matrix
 
 
 class TestSimulatorKernel:
