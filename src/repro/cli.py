@@ -183,12 +183,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         checkpoint_intervals=args.intervals,
         num_clients=args.clients,
         seed=args.seed,
-        gc_enabled=not args.no_gc,
     )
     series = driver.series
     print(f"protocol            : {args.protocol}")
     print(f"backend             : {result.backend}")
-    print(f"gc                  : {'off' if args.no_gc else 'on'}")
     print(f"stable checkpoints  : {driver.stable_floor()}/{driver.target_sequence} sequences")
     print(f"completed           : {result.completed}/{result.submitted}")
     print(f"throughput          : {result.throughput_tps:.1f} txn/s (protocol time)")
@@ -408,11 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     steady_parser.add_argument("--checkpoint-interval", type=int, default=4)
     steady_parser.add_argument("--cross-shard", type=float, default=0.2)
     steady_parser.add_argument("--seed", type=int, default=2022)
-    steady_parser.add_argument(
-        "--no-gc",
-        action="store_true",
-        help="disable checkpoint-driven truncation (to demonstrate the growth it prevents)",
-    )
     steady_parser.add_argument("--json", help="also write the sampled series to this file")
     steady_parser.add_argument(
         "--pipeline-depth",

@@ -149,13 +149,12 @@ class ClientRequest(Message):
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
         return codec.memoized_packed_payload(
             self,
             _CLIENT_REQUEST_LAYOUT,
-            self._payload_fields,
             (str(self.sender), self.transaction.payload_bytes()),
         )
 
@@ -251,12 +250,10 @@ def _packed_payload_bytes(
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
-        return codec.memoized_packed_payload(
-            self, layout, self._payload_fields, values_of(self)
-        )
+        return codec.memoized_packed_payload(self, layout, values_of(self))
 
     return payload_bytes
 
@@ -297,8 +294,6 @@ def _commit_vote_fields(view: int, sequence: int, batch_digest: bytes) -> dict[s
 
 
 def _memoized_signed_payload(obj: Any, view: int, sequence: int, batch_digest: bytes) -> bytes:
-    if codec.LEGACY.enabled:
-        return codec.legacy_json_bytes(_commit_vote_fields(view, sequence, batch_digest))
     cached = obj.__dict__.get("_signed_payload_memo")
     if cached is None:
         cached = _COMMIT_VOTE_LAYOUT(view, sequence, batch_digest)
@@ -404,14 +399,13 @@ class Forward(Message):
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
         txns = [req.transaction.txn_id for req in self.requests]
         return codec.memoized_packed_payload(
             self,
             _FORWARD_LAYOUT,
-            self._payload_fields,
             (str(self.sender), self.batch_digest, self.origin_shard, self.read_sets, txns),
         )
 
@@ -643,8 +637,6 @@ def requests_digest(message: Any) -> bytes:
     simulator, a relayed Forward) hash its batch once, and each of them
     still compares the value with the claimed digest.
     """
-    if codec.LEGACY.enabled:
-        return batch_digest(message.requests)
     cached = message.__dict__.get("_requests_digest_memo")
     if cached is None:
         cached = batch_digest(message.requests)

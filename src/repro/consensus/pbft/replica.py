@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from repro.common import codec
 from repro.common.batching import Batcher
 from repro.common.crypto import KeyStore, MacAuthenticator, SignatureScheme
 from repro.common.crypto import sha256
@@ -175,11 +174,8 @@ class PbftReplica(Node):
         self.committed_batch_count = 0
 
         # Garbage collection ---------------------------------------------------
-        #: When True (default), a stable checkpoint truncates the consensus
-        #: log, the batch payloads, and subclass-specific records below the
-        #: safe watermark.  Disabled only by diagnostics (bench_steady_state
-        #: measures the growth this prevents).
-        self.gc_enabled = True
+        #: A stable checkpoint truncates the consensus log, the batch
+        #: payloads, and subclass-specific records below the safe watermark.
         self.gc_runs = 0
         self.gc_watermark = 0
 
@@ -218,17 +214,8 @@ class PbftReplica(Node):
         Byzantine shard member forge the primary's messages -- so the fast
         path optimises the bytes *under* the tags: the memoised payload is
         resolved once and shared by all ``n`` HMACs, and retransmissions of
-        the same object to the same peers mint no new tags.  In the
-        benchmark-only legacy mode every tag re-serialises the payload, which
-        reproduces the pre-codec cost profile.
+        the same object to the same peers mint no new tags.
         """
-        if codec.LEGACY.enabled:
-            for peer in peers:
-                message.attach_auth(
-                    f"peer:{peer}", self.mac.tag(str(peer), message.payload_bytes())
-                )
-            self.auth_tags_created += len(peers)
-            return
         missing = [peer for peer in peers if message.auth_tag(f"peer:{peer}") is None]
         if not missing:
             return
@@ -883,8 +870,6 @@ class PbftReplica(Node):
 
     def _on_stable_checkpoint(self, sequence: int) -> None:
         """A checkpoint became stable: truncate everything below the safe watermark."""
-        if not self.gc_enabled:
-            return
         watermark = self._gc_floor(sequence)
         if watermark <= 0:
             return

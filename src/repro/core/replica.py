@@ -592,7 +592,7 @@ class RingBftReplica(PbftReplica):
         them for one extra interval; retiring eagerly keeps the retained set
         tight to the genuinely in-flight rotations.
         """
-        if not self.gc_enabled or record.sequence is None:
+        if record.sequence is None:
             return
         if record.sequence > self.checkpoints.last_stable_sequence:
             return

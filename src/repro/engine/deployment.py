@@ -438,11 +438,6 @@ class Deployment:
         """Total batches committed across all replicas (cumulative work gauge)."""
         return sum(replica.committed_batch_count for replica in self.replicas.values())
 
-    def set_gc_enabled(self, enabled: bool) -> None:
-        """Toggle checkpoint-driven garbage collection on every replica."""
-        for replica in self.replicas.values():
-            replica.gc_enabled = enabled
-
     def dropped_request_counts(self) -> dict[str, int]:
         """Client requests replicas dropped as unroutable, by reason."""
         totals: dict[str, int] = {}

@@ -363,15 +363,12 @@ def run_sustained_load(
     seed: int = 2022,
     sample_interval: float = 0.25,
     max_duration: float = 600.0,
-    gc_enabled: bool = True,
 ):
     """Build a deployment and sustain Poisson load across checkpoint intervals.
 
     Returns ``(RunResult, SustainedLoadDriver)`` -- the driver exposes the
     sampled :class:`~repro.metrics.collector.RetainedStateSeries` and the
-    stable-checkpoint floor reached.  ``gc_enabled=False`` runs the identical
-    workload with checkpoint-driven truncation switched off, which is how
-    ``bench_steady_state`` measures the growth GC prevents.
+    stable-checkpoint floor reached.
     """
     from repro.core.replica import RingBftReplica
     from repro.workloads.ycsb import YcsbWorkloadGenerator
@@ -385,7 +382,6 @@ def run_sustained_load(
         seed=seed,
     )
     try:
-        deployment.set_gc_enabled(gc_enabled)
         generator = YcsbWorkloadGenerator(
             deployment.table, deployment.directory.ring, config.workload, seed=seed
         )

@@ -195,7 +195,7 @@ class RetainedStateSample:
 
 #: Minimum sample count for a meaningful half-split flatness verdict: below
 #: this, the GC warm-up ramp occupies most of the first half and healthy
-#: gauges read as growing (the ``bench_steady_state --intervals 6`` flake).
+#: gauges read as growing (a 6-interval run flakes this way).
 MIN_FLAT_SAMPLES = 12
 
 

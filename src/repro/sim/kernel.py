@@ -11,8 +11,7 @@ Events are deliberately lean: one ``__slots__`` object per calendar entry,
 carrying the callback plus a positional-argument tuple.  Hot callers (the
 network's delivery path fires one event per message copy) schedule a shared
 bound method with per-event arguments instead of allocating a fresh closure
-per delivery, which measurably lifts events/sec (see ``bench_hotpath.py``'s
-``kernel_events`` micro-benchmark).
+per delivery, which measurably lifts events/sec.
 """
 
 from __future__ import annotations

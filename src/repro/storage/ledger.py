@@ -126,15 +126,10 @@ class Ledger:
         involved: set[int] = set()
         for txn in transactions:
             involved.update(txn.involved_shards)
-        if codec.LEGACY.enabled:
-            # Benchmark-only: the pre-codec ledger hashed full envelopes.
-            leaves = [txn.payload_bytes() for txn in transactions]
-        else:
-            # Merkle leaves are the memoised transaction digests, so a block
-            # append never re-serialises an envelope some replica already
-            # hashed; proofs verify against ``txn.digest()`` as the leaf.
-            leaves = [txn.digest() for txn in transactions]
-        tree = MerkleTree(leaves)
+        # Merkle leaves are the memoised transaction digests, so a block
+        # append never re-serialises an envelope some replica already
+        # hashed; proofs verify against ``txn.digest()`` as the leaf.
+        tree = MerkleTree([txn.digest() for txn in transactions])
         block = Block(
             height=self.height + 1,
             sequence=sequence,

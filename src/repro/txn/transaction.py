@@ -161,8 +161,6 @@ class Transaction:
         the bytes are identical by construction (pinned by the packed-codec
         equivalence tests), so digests and signatures interoperate.
         """
-        if codec.LEGACY.enabled:
-            return codec.legacy_json_bytes(self.to_wire())
         cached = self.__dict__.get("_payload_memo")
         if cached is None:
             cached = _TXN_LAYOUT(
@@ -183,7 +181,7 @@ class Transaction:
         through the compiled layout first, so the digest never falls back to
         the generic walker over :meth:`to_wire`.
         """
-        if "_payload_memo" not in self.__dict__ and not codec.LEGACY.enabled:
+        if "_payload_memo" not in self.__dict__:
             self.payload_bytes()
         return codec.memoized_digest(self, self.to_wire)
 

@@ -5,10 +5,13 @@ memory, yet never discard evidence that a view change, a dark-replica
 catch-up, or an in-flight cross-shard rotation still needs.
 """
 
-from repro.config import SystemConfig, TimerConfig
+import pytest
+
+from repro.config import SystemConfig, TimerConfig, WorkloadConfig
 from repro.core.replica import RingBftReplica
-from repro.engine import Deployment
+from repro.engine import Deployment, run_sustained_load
 from repro.faults.injector import FaultInjector
+from repro.metrics.collector import MIN_FLAT_SAMPLES, RetainedStateSeries
 from repro.txn.transaction import TransactionBuilder
 
 from tests.conftest import small_workload
@@ -59,17 +62,6 @@ class TestLogTruncation:
             assert len(replica.batches) <= 2 * 2 + 2
             assert replica.checkpoints.stable_record_count <= replica.checkpoints.keep_stable
 
-    def test_gc_can_be_disabled(self):
-        cluster = _cluster(checkpoint_interval=2)
-        for replica in cluster.shard_replicas(0):
-            replica.gc_enabled = False
-        for i in range(10):
-            cluster.submit(_single_txn(cluster, 0, i, f"nogc-{i}"))
-        assert cluster.run_until_clients_done(timeout=120.0)
-        for replica in cluster.shard_replicas(0):
-            assert replica.gc_runs == 0
-            assert replica.log.slot_count >= 10
-
     def test_cross_shard_records_are_retired_after_completion(self):
         cluster = _cluster(checkpoint_interval=2, num_shards=2)
         for i in range(4):
@@ -86,6 +78,59 @@ class TestLogTruncation:
                 assert replica.cross_records_retired >= 1
                 assert len(replica._cross_records) <= 2
                 assert replica.pending_cross_shard() == ()
+
+
+class TestSustainedLoadPlateau:
+    """Retained state plateaus over a long sustained run.
+
+    The absolute bound is the control: without GC the consensus log alone
+    outgrows it within 20 checkpoint intervals, so a GC that stops running
+    fails here even where the half-split flatness check might not.
+    """
+
+    #: Gauges that grow with committed work unless checkpoint GC truncates them.
+    FLAT_GAUGES = ("log_slots", "batches", "cross_records", "committed_txn_ids")
+
+    def test_retained_state_is_flat_and_bounded_by_the_checkpoint_interval(self):
+        shards, replicas, checkpoint_interval, seed = 2, 4, 4, 7
+        timers = TimerConfig(
+            local_timeout=1.0,
+            remote_timeout=2.0,
+            transmit_timeout=3.0,
+            client_timeout=1.5,
+            checkpoint_interval=checkpoint_interval,
+        )
+        workload = WorkloadConfig(
+            num_records=400, cross_shard_fraction=0.2, batch_size=1, num_clients=2, seed=seed
+        )
+        config = SystemConfig.uniform(shards, replicas, timers=timers, workload=workload)
+        result, driver = run_sustained_load(
+            config,
+            rate_per_second=50.0,
+            checkpoint_intervals=20,
+            seed=seed,
+            sample_interval=0.2,
+        )
+        assert result.completed == result.submitted
+        assert result.ledgers_consistent
+        assert driver.stable_floor() >= driver.target_sequence
+        # O(checkpoint_interval + in-flight) per replica, never O(committed):
+        # up to two checkpoint windows of GC lag plus in-flight work.
+        bound = shards * replicas * (6 * checkpoint_interval + 32)
+        series = driver.series
+        for gauge in self.FLAT_GAUGES:
+            assert series.is_flat(gauge, min_samples=MIN_FLAT_SAMPLES), (
+                gauge,
+                series.growth_ratio(gauge),
+            )
+            assert series.peak(gauge) <= bound, (gauge, series.peak(gauge), bound)
+
+    def test_flatness_verdict_refuses_a_short_series(self):
+        series = RetainedStateSeries()
+        for step in range(MIN_FLAT_SAMPLES - 1):
+            series.record(time=step * 0.2, committed_batches=step, gauges={"log_slots": 4})
+        with pytest.raises(ValueError, match="unreliable"):
+            series.is_flat("log_slots", min_samples=MIN_FLAT_SAMPLES)
 
 
 class TestViewChangeAfterTruncation:

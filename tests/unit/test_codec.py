@@ -9,7 +9,6 @@ from repro.common import codec
 from repro.common.codec import (
     decode_canonical,
     encode_canonical,
-    legacy_json_encoding,
     registered_wire_types,
 )
 from repro.common.crypto import Signature
@@ -167,13 +166,6 @@ class TestRoundTrip:
         """Low-level struct/unicode errors are translated, never leaked."""
         with pytest.raises(MalformedMessageError):
             decode_canonical(junk)
-
-    def test_legacy_context_is_reentrant(self):
-        with legacy_json_encoding():
-            with legacy_json_encoding():
-                assert codec.LEGACY.enabled
-            assert codec.LEGACY.enabled  # inner exit must not clear the outer scope
-        assert not codec.LEGACY.enabled
 
     def test_unknown_type_rejected(self):
         with pytest.raises(MalformedMessageError):
@@ -439,17 +431,11 @@ class TestDigestInjectivityRegression:
         int_keys = Execute(write_sets={0: {"k": "v"}}, **base)
         str_keys = Execute(write_sets={"0": {"k": "v"}}, **base)
         assert int_keys.digest() != str_keys.digest()
-        # The legacy JSON path collides -- which is exactly why it is
-        # quarantined to benchmarks.
-        with legacy_json_encoding():
-            assert int_keys.digest() == str_keys.digest()
 
     def test_bytes_vs_stringified_bytes_digest_differently(self):
         raw = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=b"\xab" * 32)
         impostor = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=(b"\xab" * 32).hex())
         assert raw.digest() != impostor.digest()
-        with legacy_json_encoding():
-            assert raw.digest() == impostor.digest()
 
     def test_transaction_digest_distinguishes_value_types(self):
         a = Transaction("t", "c", (Operation(shard=0, key="k", op_type=OpType.WRITE, value="7"),))
@@ -492,12 +478,3 @@ class TestMemoisation:
         clone = Transaction(source.txn_id, source.client_id, source.operations)
         codec.prime_payload(clone, payload)
         assert clone.payload_bytes() is payload
-
-    def test_legacy_mode_bypasses_memos_but_is_self_consistent(self):
-        txn = _txn("legacy")
-        with legacy_json_encoding():
-            one = txn.payload_bytes()
-            two = txn.payload_bytes()
-            assert one == two
-            assert one is not two  # recomputed per call, like the pre-codec path
-        assert txn.payload_bytes() != one  # binary codec differs from JSON

@@ -125,12 +125,3 @@ class TestHypothesisEquivalence:
         expected = codec.encode_canonical(message._payload_fields())
         assert message.payload_bytes() == expected
         assert codec.decode_canonical(expected) == message._payload_fields()
-
-
-class TestLegacyModeBypass:
-    def test_legacy_mode_still_uses_json(self):
-        message = Prepare(sender=ReplicaId(0, 1), view=1, sequence=2, batch_digest=b"d" * 32)
-        with codec.legacy_json_encoding():
-            legacy = message.payload_bytes()
-            assert legacy == codec.legacy_json_bytes(message._payload_fields())
-        assert message.payload_bytes() != legacy
