@@ -6,4 +6,5 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     determinism,
     lock_discipline,
     mac_coverage,
+    quorum_tally,
 )

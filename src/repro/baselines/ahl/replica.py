@@ -53,10 +53,15 @@ class AhlReplica(PbftReplica):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._records: dict[bytes, AhlRecord] = {}
+        self._weak_quorums = {
+            shard: self.directory.quorum(shard).weak_quorum for shard in self.directory.shard_ids()
+        }
         #: Committee side: cross-shard prepares sent per destination shard,
-        #: in commit order -- every committee replica derives the identical
-        #: counts from the identical committed log.
+        #: in sequence order -- every committee replica derives the identical
+        #: counts from the identical committed log.  A committed batch waits
+        #: in ``_due_prepares`` until every lower sequence has committed.
         self._cross_dest_counts: dict[int, int] = {}
+        self._due_prepares: dict[int, AhlRecord] = {}
         #: Involved-shard side: prepares ready for local vote consensus,
         #: keyed by their dense per-shard index, proposed strictly in order.
         self._ready_cross: dict[int, AhlRecord] = {}
@@ -92,6 +97,8 @@ class AhlReplica(PbftReplica):
                 batch_digest=digest,
                 involved_shards=involved or frozenset(),
                 requests=tuple(requests),
+                weak_quorum=self._weak_quorums.__getitem__,
+                committee=self.directory.quorum(self.committee_shard),
             )
             self._records[digest] = record
         if requests and not record.requests:
@@ -119,6 +126,7 @@ class AhlReplica(PbftReplica):
         for record in sorted(self._ready_cross.values(), key=lambda r: r.dest_sequence or 0):
             self._admit(record.requests)
         self._ready_cross.clear()
+        self._send_due_prepares()
 
     # ------------------------------------------------------------------
     # client request routing
@@ -146,33 +154,29 @@ class AhlReplica(PbftReplica):
     # ------------------------------------------------------------------
 
     def _on_batch_committed(self, view, sequence, digest, batch) -> None:
-        if not batch:
-            return
-        txn = batch[0].transaction
-        if not txn.is_cross_shard:
+        if batch and batch[0].transaction.is_cross_shard:
+            self._on_cross_shard_committed(sequence, digest, batch)
+        elif batch:
             # Single-shard path: sequence-ordered locking, execute, release.
             self._acquire_locks_then(
                 sequence, digest, batch, lambda: self._execute_local(sequence, digest, batch)
             )
-            return
+        # Any commit may complete the sequence prefix a due prepare waits on.
+        self._send_due_prepares()
+
+    def _abandon_sequence(self, sequence: int) -> None:
+        super()._abandon_sequence(sequence)
+        self._send_due_prepares()
+
+    def _on_cross_shard_committed(self, sequence, digest, batch) -> None:
+        txn = batch[0].transaction
         involved = txn.involved_shards
         record = self._record(digest, requests=batch, involved=involved)
         if self.is_committee_member and not record.prepare_sent:
             # The committee just globally ordered the batch: start 2PC.
             record.global_sequence = sequence
             record.prepare_sent = True
-            # Assign each involved shard this batch's dense prepare index
-            # (identical on every committee replica: derived from the
-            # committed log order).  Involved primaries propose in this
-            # order, keeping cross-shard lock acquisition deadlock-free.
-            record.shard_sequences = {}
-            if not self._cross_order_stale:
-                for shard in sorted(involved):
-                    if shard == self.shard_id:
-                        continue
-                    self._cross_dest_counts[shard] = self._cross_dest_counts.get(shard, 0) + 1
-                    record.shard_sequences[shard] = self._cross_dest_counts[shard]
-            self._send_prepare_2pc(record, sequence)
+            self._due_prepares[sequence] = record
             if self.shard_id in involved:
                 # The committee shard also owns part of the data: vote as well.
                 record.local_sequence = sequence
@@ -186,6 +190,32 @@ class AhlReplica(PbftReplica):
             self._acquire_locks_then(
                 sequence, digest, batch, lambda: self._cast_vote(digest)
             )
+
+    def _send_due_prepares(self) -> None:
+        """Start 2PC for committed batches strictly in sequence order.
+
+        Each batch gets, per involved shard, a dense prepare index: its rank
+        among that shard's batches in the committee's log.  Involved
+        primaries propose in this order, keeping cross-shard lock
+        acquisition deadlock-free.  Slots of a pipelined window commit in any
+        order, so the index is assigned only once every lower sequence has
+        committed (the ledger, appended in sequence order, has reached the
+        batch): every committee replica then hands each batch the same index.
+        A replica whose bookkeeping went stale claims no index, so it need not
+        wait.
+        """
+        stale = self._cross_order_stale
+        due = [s for s in self._due_prepares if stale or s <= self._ledger_appended]
+        for sequence in sorted(due):
+            record = self._due_prepares.pop(sequence)
+            record.shard_sequences = {}
+            if not stale:
+                for shard in sorted(record.involved_shards):
+                    if shard == self.shard_id:
+                        continue
+                    self._cross_dest_counts[shard] = self._cross_dest_counts.get(shard, 0) + 1
+                    record.shard_sequences[shard] = self._cross_dest_counts[shard]
+            self._send_prepare_2pc(record, sequence)
 
     def _execute_local(self, sequence: int, digest: bytes, batch) -> None:
         self._execute_batch(sequence, digest, batch)
@@ -217,24 +247,26 @@ class AhlReplica(PbftReplica):
         if self.shard_id not in involved:
             return
         record = self._record(message.batch_digest, requests=message.requests, involved=involved)
-        record.prepare_senders.add(str(message.sender))
-        committee_weak = self.directory.quorum(self.committee_shard).weak_quorum
+        record.prepare_tally.add(message.batch_digest, message.sender)
         claimed = message.shard_sequences.get(self.shard_id)
-        if claimed is not None and record.dest_sequence is None:
-            # Adopt the dense index only once a weak quorum of committee
-            # replicas claims the *same* value: the MAC authenticates each
-            # claim's sender, but a Byzantine sender signs whatever it wants,
-            # so the f+1 agreement is what actually defends the order.
-            claimants = record.dest_sequence_claims.setdefault(claimed, set())
-            claimants.add(str(message.sender))
-            if len(claimants) >= committee_weak:
-                record.dest_sequence = claimed
-        if len(record.prepare_senders) < committee_weak:
+        # Adopt the dense index only once a weak quorum of committee replicas
+        # claims the *same* value: the MAC authenticates each claim's sender,
+        # but a Byzantine sender signs whatever it wants, so the f+1
+        # agreement is what actually defends the order.
+        if (
+            claimed is not None
+            and record.index_tally.add(claimed, message.sender)
+            and record.dest_sequence is None
+        ):
+            record.dest_sequence = claimed
+        # Re-checked on every prepare: a confirmed index may complete only
+        # after the prepare quorum did.
+        if not record.prepare_tally.reached(message.batch_digest):
             return
         if record.local_consensus_started:
             return
         if record.dest_sequence is None or self._cross_order_stale:
-            if record.dest_sequence is None and record.dest_sequence_claims:
+            if record.dest_sequence is None and record.index_tally.buckets():
                 # Ordering info exists but no value is quorum-confirmed yet
                 # (a Byzantine claim among the first f+1): wait for further
                 # honest prepares instead of proposing out of order.
@@ -304,7 +336,7 @@ class AhlReplica(PbftReplica):
         committee = self.directory.replicas_of(self.committee_shard)
         self._authenticate_cross_shard_broadcast(vote, (self.committee_shard,))
         self.broadcast(list(committee), vote, include_self=self.is_committee_member)
-        if record.decided:
+        if record.decide_tally.reached(digest):
             # The global decision raced ahead of our local locking.
             self._finish_cross_shard(record)
 
@@ -312,24 +344,22 @@ class AhlReplica(PbftReplica):
         if not self.is_committee_member:
             return
         record = self._record(message.batch_digest)
-        count = record.record_shard_vote(message.shard, str(message.sender))
-        shard_weak = self.directory.quorum(message.shard).weak_quorum
-        if count < shard_weak:
-            return
-        self._check_decision(record)
-
-    def _all_votes_collected(self, record: AhlRecord) -> bool:
-        if not record.involved_shards:
-            return False
-        for shard in record.involved_shards:
-            weak = self.directory.quorum(shard).weak_quorum
-            if len(record.shard_votes.get(shard, set())) < weak:
-                return False
-        return True
+        if record.vote_tally.add(message.shard, message.sender) and (
+            message.shard in record.involved_shards
+        ):
+            self._check_decision(record)
 
     def _check_decision(self, record: AhlRecord) -> None:
-        """Once every involved shard voted, run the committee's decision round."""
-        if not self._all_votes_collected(record) or record.decision_sent:
+        """Once every involved shard voted, run the committee's decision round.
+
+        Runs on the committee's own commit of the batch (which sets
+        ``involved_shards``) and on each involved shard's vote-quorum edge,
+        each of which happens once, so exactly one call finds every shard's
+        quorum in: each committee replica sends its CommitteeVote once.
+        """
+        if not record.involved_shards or record.committee_tally.reached(record.batch_digest):
+            return
+        if not all(record.vote_tally.reached(shard) for shard in record.involved_shards):
             return
         vote = CommitteeVote(sender=self.replica_id, batch_digest=record.batch_digest, commit=True)
         self._authenticate_cross_shard_broadcast(vote, (self.committee_shard,))
@@ -339,13 +369,8 @@ class AhlReplica(PbftReplica):
         if not self.is_committee_member:
             return
         record = self._record(message.batch_digest)
-        record.committee_votes.add(str(message.sender))
-        if record.decision_sent:
-            return
-        if len(record.committee_votes) < self.quorum.commit_quorum:
-            return
-        record.decision_sent = True
-        self._send_decision(record)
+        if record.committee_tally.add(message.batch_digest, message.sender):
+            self._send_decision(record)
 
     # ------------------------------------------------------------------
     # 2PC: decide phase
@@ -360,21 +385,15 @@ class AhlReplica(PbftReplica):
                 decision,
                 include_self=(shard == self.shard_id),
             )
-        if not record.replied:
-            record.replied = True
-            for request in record.requests:
-                self._reply_to_client(request, record.global_sequence or 0)
+        for request in record.requests:
+            self._reply_to_client(request, record.global_sequence or 0)
 
     def _handle_decide_2pc(self, message: Decide2PC) -> None:
         record = self._records.get(message.batch_digest)
         if record is None:
             return
-        record.decide_senders.add(str(message.sender))
-        committee_weak = self.directory.quorum(self.committee_shard).weak_quorum
-        if len(record.decide_senders) < committee_weak or record.decided:
-            return
-        record.decided = True
-        self._finish_cross_shard(record)
+        if record.decide_tally.add(message.batch_digest, message.sender):
+            self._finish_cross_shard(record)
 
     def _finish_cross_shard(self, record: AhlRecord) -> None:
         """Execute the local fragment and release its locks after the global decision."""

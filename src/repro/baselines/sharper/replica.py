@@ -20,10 +20,12 @@ measures as Sharper's scalability limit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.baselines.sharper.messages import CrossCommit, CrossPrepare, CrossPropose
 from repro.common.messages import ClientRequest, batch_digest, requests_digest
+from repro.common.quorum import Tally
 from repro.consensus.pbft.replica import PbftReplica
 
 
@@ -34,18 +36,19 @@ class SharperRecord:
     batch_digest: bytes
     involved_shards: frozenset[int]
     requests: tuple[ClientRequest, ...] = ()
+    #: A shard's commit quorum (nf): the threshold of the vote tallies below.
+    commit_quorum: Callable[[int], int] = field(kw_only=True, repr=False)
     global_sequence: int | None = None
-    prepare_votes: dict[int, set[str]] = field(default_factory=dict)
-    commit_votes: dict[int, set[str]] = field(default_factory=dict)
+    #: CrossPrepare and CrossCommit votes per involved shard.
+    prepare_tally: Tally[int] = field(init=False, repr=False)
+    commit_tally: Tally[int] = field(init=False, repr=False)
     prepared: bool = False
     committed: bool = False
     executed: bool = False
-    replied: bool = False
 
-    def record_vote(self, table: dict[int, set[str]], shard: int, sender: str) -> int:
-        votes = table.setdefault(shard, set())
-        votes.add(sender)
-        return len(votes)
+    def __post_init__(self) -> None:
+        self.prepare_tally = Tally(self.commit_quorum)
+        self.commit_tally = Tally(self.commit_quorum)
 
 
 class SharperReplica(PbftReplica):
@@ -63,6 +66,10 @@ class SharperReplica(PbftReplica):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._records: dict[bytes, SharperRecord] = {}
+        self._commit_quorums = {
+            shard: self.directory.quorum(shard).commit_quorum
+            for shard in self.directory.shard_ids()
+        }
         self._global_sequence = 0
 
     # ------------------------------------------------------------------
@@ -119,6 +126,7 @@ class SharperReplica(PbftReplica):
                 batch_digest=digest,
                 involved_shards=involved or frozenset(),
                 requests=tuple(requests),
+                commit_quorum=self._commit_quorums.__getitem__,
             )
             self._records[digest] = record
         if requests and not record.requests:
@@ -179,32 +187,31 @@ class SharperReplica(PbftReplica):
         # Votes may have raced ahead of the proposal; re-evaluate both quorums.
         self._advance_record(record)
 
-    def _quorum_from_every_shard(
-        self, record: SharperRecord, votes: dict[int, set[str]]
-    ) -> bool:
-        if not record.involved_shards:
-            return False
-        for shard in record.involved_shards:
-            needed = self.directory.quorum(shard).commit_quorum
-            if len(votes.get(shard, set())) < needed:
-                return False
-        return True
+    @staticmethod
+    def _quorum_from_every_shard(record: SharperRecord, tally: Tally[int]) -> bool:
+        return bool(record.involved_shards) and all(
+            tally.reached(shard) for shard in record.involved_shards
+        )
 
     def _handle_cross_prepare(self, message: CrossPrepare) -> None:
         record = self._record(message.batch_digest)
-        record.record_vote(record.prepare_votes, message.shard, str(message.sender))
-        self._advance_record(record)
+        if record.prepare_tally.add(message.shard, message.sender):
+            self._advance_record(record)
 
     def _handle_cross_commit(self, message: CrossCommit) -> None:
         record = self._record(message.batch_digest)
-        record.record_vote(record.commit_votes, message.shard, str(message.sender))
-        self._advance_record(record)
+        if record.commit_tally.add(message.shard, message.sender):
+            self._advance_record(record)
 
     def _advance_record(self, record: SharperRecord) -> None:
-        """Advance the global consensus state machine as far as its quorums allow."""
+        """Advance the global consensus state machine as far as its quorums allow.
+
+        Runs when the proposal arrives and on each shard's quorum edge: the
+        only events that can move it.
+        """
         if not record.requests:
             return
-        if not record.prepared and self._quorum_from_every_shard(record, record.prepare_votes):
+        if not record.prepared and self._quorum_from_every_shard(record, record.prepare_tally):
             record.prepared = True
             commit = CrossCommit(
                 sender=self.replica_id, batch_digest=record.batch_digest, shard=self.shard_id
@@ -214,7 +221,7 @@ class SharperReplica(PbftReplica):
         if (
             not record.committed
             and record.prepared
-            and self._quorum_from_every_shard(record, record.commit_votes)
+            and self._quorum_from_every_shard(record, record.commit_tally)
         ):
             record.committed = True
             self._execute_cross_shard(record)
@@ -233,8 +240,7 @@ class SharperReplica(PbftReplica):
         sequence = record.global_sequence or 0
         self.ledger.append_batch(sequence, str(self.primary), transactions)
         self._maybe_checkpoint(sequence, tuple(transactions))
-        if self._initiator_shard(record.involved_shards) == self.shard_id and not record.replied:
-            record.replied = True
+        if self._initiator_shard(record.involved_shards) == self.shard_id:
             for request in record.requests:
                 self._reply_to_client(request, sequence)
 

@@ -15,11 +15,12 @@ only a routing hint -- a wrong one costs a backup's relay or one timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common import codec
 from repro.common.crypto import KeyStore, SignatureScheme
 from repro.common.messages import ClientRequest, ClientResponse, Message
+from repro.common.quorum import Tally
 from repro.common.types import ReplicaId
 from repro.config import TimerConfig
 from repro.consensus.directory import Directory
@@ -47,7 +48,8 @@ class _InFlight:
     request: ClientRequest
     target_shard: int
     submitted_at: float
-    responders: set[str] = field(default_factory=set)
+    #: Replies per transaction id; f + 1 of the target shard complete it.
+    replies: Tally[str]
     retransmissions: int = 0
 
 
@@ -96,7 +98,10 @@ class Client(Node):
         codec.prime_payload(request, payload)
         target_shard = self.target_shard_for(txn)
         self._in_flight[txn.txn_id] = _InFlight(
-            request=request, target_shard=target_shard, submitted_at=self.now
+            request=request,
+            target_shard=target_shard,
+            submitted_at=self.now,
+            replies=Tally(self.directory.quorum(target_shard).weak_quorum),
         )
         primary = self.directory.primary_of(target_shard, self.view_of(target_shard))
         self.send(primary, request)
@@ -138,9 +143,7 @@ class Client(Node):
         entry = self._in_flight.get(message.txn_id)
         if entry is None:
             return
-        entry.responders.add(str(message.sender))
-        needed = self.directory.quorum(entry.target_shard).weak_quorum
-        if len(entry.responders) >= needed:
+        if entry.replies.add(message.txn_id, message.sender):
             self._complete(message.txn_id, entry)
 
     def _learn_view(self, message: ClientResponse) -> None:
@@ -157,6 +160,7 @@ class Client(Node):
             claims = self._view_claims[shard] = {}
         claims[sender] = view
         rank = self.directory.quorum(shard).weak_quorum
+        # repro: allow[quorum-tally] an order statistic over the claimed views, not a vote count
         if len(claims) >= rank:
             self._views[shard] = sorted(claims.values(), reverse=True)[rank - 1]
 

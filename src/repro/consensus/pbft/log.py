@@ -3,8 +3,9 @@
 A slot gathers the PrePrepare proposal and the Prepare/Commit votes received
 for it, and exposes the phase transitions PBFT cares about: *pre-prepared*,
 *prepared* (nf Prepare votes), and *committed* (nf Commit votes on a prepared
-slot).  Slots also retain the signed Commit messages so that RingBFT can
-assemble the commit certificate attached to ``Forward`` messages.
+slot).  Votes are counted per digest by a :class:`~repro.common.quorum.Tally`;
+slots also retain the signed Commit messages so that RingBFT can assemble the
+commit certificate attached to ``Forward`` messages.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.common.messages import Commit, CommitCertificate, PrePrepare, Prepare
+from repro.common.quorum import Tally
 from repro.common.types import ReplicaId
 from repro.errors import ConsensusError
 
@@ -33,10 +35,20 @@ class Slot:
 
     view: int
     sequence: int
+    #: nf: the Prepare (and Commit) votes a digest needs.
+    quorum: int
     pre_prepare: PrePrepare | None = None
     prepares: dict[ReplicaId, Prepare] = field(default_factory=dict)
-    commits: dict[ReplicaId, Commit] = field(default_factory=dict)
+    #: Keyed by (digest, sender): exactly the votes ``commit_tally`` counts,
+    #: so once a digest commits its certificate can always be assembled.
+    commits: dict[tuple[bytes, ReplicaId], Commit] = field(default_factory=dict)
     state: SlotState = SlotState.EMPTY
+    prepare_tally: Tally[bytes] = field(init=False, repr=False)
+    commit_tally: Tally[bytes] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.prepare_tally = Tally(self.quorum)
+        self.commit_tally = Tally(self.quorum)
 
     def record_pre_prepare(self, message: PrePrepare) -> None:
         if self.pre_prepare is not None and self.pre_prepare.batch_digest != message.batch_digest:
@@ -47,23 +59,25 @@ class Slot:
         if self.state is SlotState.EMPTY:
             self.state = SlotState.PRE_PREPARED
 
-    def record_prepare(self, message: Prepare) -> None:
+    def record_prepare(self, message: Prepare) -> bool:
+        """Keep a Prepare; True on the vote that brings its digest to quorum."""
         self.prepares[message.sender] = message
+        return self.prepare_tally.add(message.batch_digest, message.sender)
 
-    def record_commit(self, message: Commit) -> None:
-        self.commits[message.sender] = message
-
-    def matching_prepares(self, digest: bytes) -> int:
-        return sum(1 for msg in self.prepares.values() if msg.batch_digest == digest)
-
-    def matching_commits(self, digest: bytes) -> int:
-        return sum(1 for msg in self.commits.values() if msg.batch_digest == digest)
+    def record_commit(self, message: Commit) -> bool:
+        """Keep a Commit; True on the vote that brings its digest to quorum."""
+        self.commits[(message.batch_digest, message.sender)] = message
+        return self.commit_tally.add(message.batch_digest, message.sender)
 
 
 class ConsensusLog:
-    """Per-replica log of consensus slots keyed by (view, sequence)."""
+    """Per-replica log of consensus slots keyed by (view, sequence).
 
-    def __init__(self) -> None:
+    ``quorum`` is the shard's nf: the votes that prepare or commit a digest.
+    """
+
+    def __init__(self, quorum: int) -> None:
+        self.quorum = quorum
         self._slots: dict[tuple[int, int], Slot] = {}
         self._accepted_digest: dict[tuple[int, int], bytes] = {}
         self._truncated_below: int = 0
@@ -71,7 +85,7 @@ class ConsensusLog:
     def slot(self, view: int, sequence: int) -> Slot:
         key = (view, sequence)
         if key not in self._slots:
-            self._slots[key] = Slot(view=view, sequence=sequence)
+            self._slots[key] = Slot(view=view, sequence=sequence, quorum=self.quorum)
         return self._slots[key]
 
     def has_accepted(self, view: int, sequence: int) -> bool:
@@ -96,18 +110,18 @@ class ConsensusLog:
 
     # -- phase checks -----------------------------------------------------
 
-    def is_prepared(self, view: int, sequence: int, digest: bytes, quorum: int) -> bool:
+    def is_prepared(self, view: int, sequence: int, digest: bytes) -> bool:
         slot = self.slot(view, sequence)
         return (
             slot.pre_prepare is not None
             and slot.pre_prepare.batch_digest == digest
-            and slot.matching_prepares(digest) >= quorum
+            and slot.prepare_tally.reached(digest)
         )
 
-    def is_committed(self, view: int, sequence: int, digest: bytes, quorum: int) -> bool:
+    def is_committed(self, view: int, sequence: int, digest: bytes) -> bool:
         return (
-            self.is_prepared(view, sequence, digest, quorum)
-            and self.slot(view, sequence).matching_commits(digest) >= quorum
+            self.is_prepared(view, sequence, digest)
+            and self.slot(view, sequence).commit_tally.reached(digest)
         )
 
     def mark(self, view: int, sequence: int, state: SlotState) -> None:
@@ -140,7 +154,7 @@ class ConsensusLog:
             signatures=signatures[:quorum],
         )
 
-    def prepared_sequences(self, quorum: int) -> list[tuple[int, int, bytes]]:
+    def prepared_sequences(self) -> list[tuple[int, int, bytes]]:
         """Every (view, sequence, digest) this replica saw reach the prepared phase.
 
         Used to build ViewChange messages: prepared-but-not-committed requests
@@ -151,7 +165,7 @@ class ConsensusLog:
             if slot.pre_prepare is None:
                 continue
             digest = slot.pre_prepare.batch_digest
-            if slot.matching_prepares(digest) >= quorum and slot.state is not SlotState.EXECUTED:
+            if slot.prepare_tally.reached(digest) and slot.state is not SlotState.EXECUTED:
                 prepared.append((view, sequence, digest))
         return sorted(prepared, key=lambda item: item[1])
 
@@ -201,8 +215,3 @@ class ConsensusLog:
             if slot.pre_prepare is not None
         }
         return dropped - retained
-
-
-#: Alias under the name the checkpoint protocol uses ("replicas truncate
-#: their message logs"); the two names refer to the same class.
-MessageLog = ConsensusLog

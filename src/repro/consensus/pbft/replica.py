@@ -98,7 +98,7 @@ class PbftReplica(Node):
         # Consensus state -------------------------------------------------
         self.view = 0
         self.next_sequence = 1
-        self.log = ConsensusLog()
+        self.log = ConsensusLog(self.quorum.commit_quorum)
         self.batcher = Batcher(batch_size or directory.config.workload.batch_size)
         #: Proposal pipelining (PBFT's multiple-sequences-in-flight window).
         #: depth=1 reproduces the classic propose-on-fill behaviour exactly.
@@ -155,7 +155,13 @@ class PbftReplica(Node):
         self.executor = ExecutionEngine(self.shard_id, self.store)
         self.ledger = Ledger(self.shard_id)
         self.locks = LockManager(self.shard_id)
-        self.checkpoints = CheckpointStore(self.timers_config.checkpoint_interval)
+        self.checkpoints = CheckpointStore(
+            self.timers_config.checkpoint_interval,
+            quorum=self.quorum.commit_quorum,
+            # f + 1 backers guarantee at least one correct replica vouches for
+            # the digest stamped into the stable record.
+            digest_quorum=self.quorum.weak_quorum,
+        )
 
         # Lock-ordered continuations (shared by the sharded protocol subclasses).
         self._lock_continuations: dict[str, object] = {}
@@ -627,15 +633,14 @@ class PbftReplica(Node):
             return
         if message.view != self.view:
             return
-        slot = self.log.slot(message.view, message.sequence)
-        slot.record_prepare(message)
-        self._check_prepared(message.view, message.sequence, message.batch_digest)
+        if self.log.slot(message.view, message.sequence).record_prepare(message):
+            self._check_prepared(message.view, message.sequence, message.batch_digest)
 
     def _check_prepared(self, view: int, sequence: int, digest: bytes) -> None:
         slot = self.log.slot(view, sequence)
         if slot.state not in (SlotState.PRE_PREPARED, SlotState.EMPTY):
             return
-        if not self.log.is_prepared(view, sequence, digest, self.quorum.commit_quorum):
+        if not self.log.is_prepared(view, sequence, digest):
             return
         self.log.mark(view, sequence, SlotState.PREPARED)
         commit = self._make_commit(view, sequence, digest)
@@ -669,9 +674,8 @@ class PbftReplica(Node):
             return
         if message.view != self.view:
             return
-        slot = self.log.slot(message.view, message.sequence)
-        slot.record_commit(message)
-        self._check_committed(message.view, message.sequence, message.batch_digest)
+        if self.log.slot(message.view, message.sequence).record_commit(message):
+            self._check_committed(message.view, message.sequence, message.batch_digest)
 
     def _check_committed(self, view: int, sequence: int, digest: bytes) -> None:
         slot = self.log.slot(view, sequence)
@@ -680,7 +684,7 @@ class PbftReplica(Node):
         if sequence in self._committed_sequences:
             # Already committed under an earlier view (re-proposal after a view change).
             return
-        if not self.log.is_committed(view, sequence, digest, self.quorum.commit_quorum):
+        if not self.log.is_committed(view, sequence, digest):
             return
         self.log.mark(view, sequence, SlotState.COMMITTED)
         self._committed_sequences.add(sequence)
@@ -847,16 +851,7 @@ class PbftReplica(Node):
         self._broadcast_shard(message)
 
     def _handle_checkpoint(self, message: Checkpoint) -> None:
-        became_stable = self.checkpoints.add_vote(
-            message.sequence,
-            str(message.sender),
-            self.quorum.commit_quorum,
-            message.state_digest,
-            # f + 1 backers guarantee at least one correct replica vouches for
-            # the digest stamped into the stable record.
-            digest_quorum=self.quorum.weak_quorum,
-        )
-        if became_stable:
+        if self.checkpoints.add_vote(message.sequence, message.sender, message.state_digest):
             self._on_stable_checkpoint(message.sequence)
         # A replica kept in the dark (attack A3) sees its peers' checkpoints
         # race ahead of its own execution point; it catches up by adopting a
@@ -986,6 +981,7 @@ class PbftReplica(Node):
             return
         replies = self._state_replies.setdefault(message.state_digest, {})
         replies[message.sender] = message
+        # repro: allow[quorum-tally] keeps the replies: one of them is installed
         if len(replies) < self.quorum.weak_quorum:
             return
         # f + 1 peers vouch for the same state: at least one of them is
@@ -1036,7 +1032,7 @@ class PbftReplica(Node):
                 prepares=self.quorum.commit_quorum,
                 requests=self.batches.get(digest, ()),
             )
-            for view, seq, digest in self.log.prepared_sequences(self.quorum.commit_quorum)
+            for view, seq, digest in self.log.prepared_sequences()
         )
         message = ViewChange(
             sender=self.replica_id,
@@ -1053,11 +1049,13 @@ class PbftReplica(Node):
         votes[message.sender] = message
         # Join a view change supported by at least one non-faulty replica.
         if (
+            # repro: allow[quorum-tally] keeps the ViewChanges: NewView carries them
             len(votes) >= self.quorum.weak_quorum
             and (self._view_change_target or 0) < message.new_view
         ):
             self._send_view_change(message.new_view)
         new_primary = self.directory.primary_of(self.shard_id, message.new_view)
+        # repro: allow[quorum-tally] keeps the ViewChanges: NewView carries them
         if new_primary == self.replica_id and len(votes) >= self.quorum.view_change_quorum:
             self._install_new_view_as_primary(message.new_view, votes)
 

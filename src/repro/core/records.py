@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common import codec
 from repro.common.messages import ClientRequest
+from repro.common.quorum import Tally
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.messages import Forward
@@ -24,6 +26,8 @@ class CrossShardRecord:
     batch_digest: bytes
     involved_shards: frozenset[int]
     requests: tuple[ClientRequest, ...] = ()
+    #: A shard's weak quorum (f + 1): the threshold of the vote tallies below.
+    weak_quorum: Callable[[int], int] = field(kw_only=True, repr=False)
 
     #: Local consensus progress.
     sequence: int | None = None
@@ -34,20 +38,18 @@ class CrossShardRecord:
     locked: bool = False
     executed: bool = False
     replied: bool = False
-    forwarded: bool = False
     execute_sent: bool = False
-    rotation_complete: bool = False
 
-    #: Forward/Execute vote tracking: origin shard -> distinct original senders.
-    forward_senders: dict[int, set[str]] = field(default_factory=dict)
-    execute_senders: dict[int, set[str]] = field(default_factory=dict)
-    remote_view_senders: dict[int, set[str]] = field(default_factory=dict)
-    #: The same votes split by the Sigma they carried: (origin shard, Sigma
-    #: key) -> distinct senders.  A received Sigma is adopted only once a weak
+    #: Forward and Execute votes, bucketed by (origin shard, ``sigma_key`` of
+    #: the Sigma they carried).  A received Sigma is adopted only once a weak
     #: quorum of its origin shard carries it, so no single Byzantine sender
     #: decides what a complex transaction reads.
-    forward_sigma_votes: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
-    execute_sigma_votes: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
+    forward_tally: Tally[tuple[int, bytes]] = field(init=False, repr=False)
+    execute_tally: Tally[tuple[int, bytes]] = field(init=False, repr=False)
+    #: Threshold 1 per origin shard: its edge is the first Forward from it.
+    first_forward: Tally[int] = field(init=False, repr=False)
+    #: RemoteView votes per requesting shard.
+    remote_view_tally: Tally[int] = field(init=False, repr=False)
 
     #: Keys of this replica's shard that some transaction of the batch names
     #: in ``Operation.depends_on`` -- the only local values Sigma carries.
@@ -71,33 +73,19 @@ class CrossShardRecord:
     #: per-record cap was reached; see ``TimerConfig.max_forward_retransmissions``).
     retransmissions_exhausted: bool = False
 
-    def record_forward(
-        self, origin_shard: int, sender: str, read_sets: dict[int, dict[str, str]]
-    ) -> int:
-        """Count a Forward message; returns how many distinct senders of
-        ``origin_shard`` carried these same ``read_sets``."""
-        self.forward_senders.setdefault(origin_shard, set()).add(sender)
-        return _vote(self.forward_sigma_votes, origin_shard, sender, read_sets)
+    def __post_init__(self) -> None:
+        # Closes over the lookup, not ``self``: a record must not sit in a
+        # reference cycle, or a retired one (with its batch and cached
+        # Forward) lingers until the cyclic collector runs.
+        weak_quorum = self.weak_quorum
 
-    def record_execute(
-        self, origin_shard: int, sender: str, write_sets: dict[int, dict[str, str]]
-    ) -> int:
-        """Count an Execute message; returns how many distinct senders of
-        ``origin_shard`` carried these same ``write_sets``."""
-        self.execute_senders.setdefault(origin_shard, set()).add(sender)
-        return _vote(self.execute_sigma_votes, origin_shard, sender, write_sets)
+        def by_origin(bucket: tuple[int, bytes]) -> int:
+            return weak_quorum(bucket[0])
 
-    def forward_agreement(self, origin_shard: int) -> int:
-        """Most distinct senders of ``origin_shard`` whose Forwards agree on Sigma."""
-        return max(
-            (len(s) for (origin, _), s in self.forward_sigma_votes.items() if origin == origin_shard),
-            default=0,
-        )
-
-    def record_remote_view(self, origin_shard: int, sender: str) -> int:
-        senders = self.remote_view_senders.setdefault(origin_shard, set())
-        senders.add(sender)
-        return len(senders)
+        self.forward_tally = Tally(by_origin)
+        self.execute_tally = Tally(by_origin)
+        self.first_forward = Tally(1)
+        self.remote_view_tally = Tally(weak_quorum)
 
     def merge_write_sets(self, incoming: dict[int, dict[str, str]]) -> None:
         changed = False
@@ -136,18 +124,7 @@ class CrossShardRecord:
         return self.execute_sent
 
 
-def _vote(
-    table: dict[tuple[int, bytes], set[str]],
-    origin_shard: int,
-    sender: str,
-    sigma: dict[int, dict[str, str]],
-) -> int:
-    """Add ``sender`` to the voters for ``sigma`` from ``origin_shard``; return their count.
-
-    Sigma is keyed by its canonical bytes; the empty Sigma of a batch with no
-    complex transaction skips the encoder.
-    """
-    key = (origin_shard, codec.encode_canonical(sigma) if sigma else b"")
-    senders = table.setdefault(key, set())
-    senders.add(sender)
-    return len(senders)
+def sigma_key(sigma: dict[int, dict[str, str]]) -> bytes:
+    """Sigma's canonical bytes, its vote bucket; the empty Sigma of a batch
+    with no complex transaction skips the encoder."""
+    return codec.encode_canonical(sigma) if sigma else b""

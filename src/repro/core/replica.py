@@ -37,7 +37,7 @@ from repro.common.messages import (
     RemoteView,
     requests_digest,
 )
-from repro.core.records import CrossShardRecord
+from repro.core.records import CrossShardRecord, sigma_key
 from repro.consensus.pbft.log import SlotState
 from repro.consensus.pbft.replica import PbftReplica
 from repro.errors import ConfigurationError
@@ -56,6 +56,10 @@ class RingBftReplica(PbftReplica):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.ring = self.directory.ring
+        #: f + 1 of every shard: the threshold of each record's vote tallies.
+        self._weak_quorums = {
+            shard: self.directory.quorum(shard).weak_quorum for shard in self.directory.shard_ids()
+        }
         self._cross_records: dict[bytes, CrossShardRecord] = {}
         #: Local-relay dedup, keyed by batch digest so retirement can drop a
         #: record's relay history with it: digest -> {(type_name, sender)}.
@@ -181,7 +185,11 @@ class RingBftReplica(PbftReplica):
     ) -> CrossShardRecord:
         record = self._cross_records.get(digest)
         if record is None:
-            record = CrossShardRecord(batch_digest=digest, involved_shards=involved)
+            record = CrossShardRecord(
+                batch_digest=digest,
+                involved_shards=involved,
+                weak_quorum=self._weak_quorums.__getitem__,
+            )
             self._cross_records[digest] = record
         if requests and not record.requests:
             record.requests = tuple(requests)
@@ -240,7 +248,6 @@ class RingBftReplica(PbftReplica):
         # original sender's MAC vector.
         self._authenticate_cross_shard_broadcast(message, (next_shard,))
         self.send(self._counterpart(next_shard), message)
-        record.forwarded = True
         self._arm_transmit_timer(record)
 
     def _arm_transmit_timer(self, record: CrossShardRecord) -> None:
@@ -291,7 +298,7 @@ class RingBftReplica(PbftReplica):
         if sender.index != self.replica_id.index:
             return
         seen = self._relayed.setdefault(digest, set())
-        key = (message.type_name, str(sender))
+        key = (message.type_name, sender)
         if key in seen:
             return
         seen.add(key)
@@ -332,20 +339,17 @@ class RingBftReplica(PbftReplica):
         self._relay_locally(message, digest)
         record = self._record_for(digest, involved, message.requests)
         origin = message.origin_shard
-        count = record.record_forward(origin, str(message.sender), message.read_sets)
-        origin_weak = self.directory.quorum(origin).weak_quorum
-        if len(record.forward_senders[origin]) == 1 and not record.locked:
+        if record.first_forward.add(origin, message.sender) and not record.locked:
             self._arm_remote_timer(record, origin)
-        if count < origin_weak:
+        if not record.forward_tally.add((origin, sigma_key(message.read_sets)), message.sender):
             return
         record.merge_write_sets(message.read_sets)
         self.cancel_timer(f"remote-{digest.hex()}")
         if record.locked:
-            # The rotation wrapped back to us (we are the initiator, or a
-            # retransmission arrived): start the execution rotation once.
-            if not record.rotation_complete:
-                record.rotation_complete = True
-                self._begin_execution_rotation(record)
+            # The rotation wrapped back to us: we are the initiator, locked
+            # before any Forward arrived.  Execute our fragment, which starts
+            # the Execute rotation.
+            self._execute_cross_fragment(record)
             return
         if not record.consensus_started:
             record.consensus_started = True
@@ -373,12 +377,12 @@ class RingBftReplica(PbftReplica):
         )
 
     def _on_remote_timeout(self, digest: bytes, origin: int) -> None:
-        """Partial-communication attack detected: ask the previous shard to view-change."""
-        record = self._cross_records.get(digest)
-        if record is None:
-            return
-        origin_weak = self.directory.quorum(origin).weak_quorum
-        if record.forward_agreement(origin) >= origin_weak:
+        """Partial-communication attack detected: ask the previous shard to view-change.
+
+        No Forward quorum arrived from ``origin`` since the timer was armed:
+        the quorum's edge in ``_handle_forward`` cancels this timer.
+        """
+        if digest not in self._cross_records:
             return
         message = RemoteView(
             sender=self.replica_id,
@@ -391,10 +395,6 @@ class RingBftReplica(PbftReplica):
     # ------------------------------------------------------------------
     # Execution rotation (Figure 5, lines 32-44)
     # ------------------------------------------------------------------
-
-    def _begin_execution_rotation(self, record: CrossShardRecord) -> None:
-        """The initiator executes its fragment and starts the Execute rotation."""
-        self._execute_cross_fragment(record)
 
     def _execute_cross_fragment(self, record: CrossShardRecord) -> None:
         if record.executed or record.sequence is None:
@@ -444,10 +444,8 @@ class RingBftReplica(PbftReplica):
             # Execute for a batch we have not locked yet; remember the writes.
             record = self._record_for(digest, frozenset())
         self._relay_locally(message, digest)
-        origin = message.origin_shard
-        count = record.record_execute(origin, str(message.sender), message.write_sets)
-        origin_weak = self.directory.quorum(origin).weak_quorum
-        if count < origin_weak:
+        bucket = (message.origin_shard, sigma_key(message.write_sets))
+        if not record.execute_tally.add(bucket, message.sender):
             return
         record.merge_write_sets(message.write_sets)
         if record.executed:
@@ -489,8 +487,7 @@ class RingBftReplica(PbftReplica):
         sender_shard = getattr(sender, "shard", None)
         if sender_shard is None or sender_shard == self.shard_id:
             return
-        count = record.record_remote_view(sender_shard, str(sender))
-        if count >= self.directory.quorum(sender_shard).weak_quorum:
+        if record.remote_view_tally.add(sender_shard, sender):
             self._initiate_view_change()
 
     # ------------------------------------------------------------------

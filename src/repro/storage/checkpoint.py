@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from collections.abc import Hashable
+
 from repro.common.crypto import sha256
+from repro.common.quorum import Tally
 from repro.txn.transaction import Transaction
 
 
@@ -36,14 +39,24 @@ class CheckpointStore:
     """
 
     interval: int
+    #: Distinct voters that make a checkpoint stable.
+    quorum: int = field(kw_only=True)
+    #: Voters a state digest needs to be stamped into the stable record.
+    digest_quorum: int = field(default=1, kw_only=True)
     #: How many stable checkpoint records to retain (the latest k).  Older
     #: records are only useful to peers that lag more than k intervals, and
     #: those catch up through state transfer instead.
     keep_stable: int = 2
     _last_stable: int = 0
     _batches_since: dict[int, tuple[Transaction, ...]] = field(default_factory=dict)
-    _votes: dict[int, dict[bytes, set[str]]] = field(default_factory=dict)
+    #: Checkpoint votes per sequence, and per (sequence, state digest).
+    _voters: Tally[int] = field(init=False, repr=False)
+    _digest_voters: Tally[tuple[int, bytes]] = field(init=False, repr=False)
     _stable: dict[int, CheckpointRecord] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._voters = Tally(self.quorum)
+        self._digest_voters = Tally(self.digest_quorum)
 
     @property
     def last_stable_sequence(self) -> int:
@@ -61,12 +74,7 @@ class CheckpointStore:
         return sha256(store_digest_input + sequence.to_bytes(8, "big"))
 
     def add_vote(
-        self,
-        sequence: int,
-        replica: str,
-        quorum: int,
-        state_digest: bytes | None = None,
-        digest_quorum: int = 1,
+        self, sequence: int, replica: Hashable, state_digest: bytes | None = None
     ) -> bool:
         """Record a Checkpoint vote; True when the checkpoint just became stable.
 
@@ -77,23 +85,23 @@ class CheckpointStore:
         rotations already applied, so their digests may legitimately differ
         without either being faulty.  The plurality digest is stamped into the
         stable :class:`CheckpointRecord` -- but only when at least
-        ``digest_quorum`` replicas back it (callers pass ``f + 1`` so a lone
+        ``digest_quorum`` replicas back it (replicas pass ``f + 1`` so a lone
         Byzantine digest can never win a tie-break); otherwise the record
         falls back to the sequence-derived placeholder.
         """
-        buckets = self._votes.setdefault(sequence, {})
-        buckets.setdefault(state_digest or b"", set()).add(replica)
-        voters = set().union(*buckets.values())
-        if len(voters) >= quorum and sequence > self._last_stable:
-            # Plurality digest, ties broken deterministically by digest bytes.
-            digest, digest_voters = max(
-                buckets.items(), key=lambda item: (len(item[1]), item[0])
-            )
-            if len(digest_voters) < digest_quorum:
-                digest = b""
-            self._make_stable(sequence, digest)
-            return True
-        return False
+        self._digest_voters.add((sequence, state_digest or b""), replica)
+        if not self._voters.add(sequence, replica) or sequence <= self._last_stable:
+            return False
+        # Plurality digest, ties broken deterministically by digest bytes.
+        _, digest = max(
+            (self._digest_voters.count(key), key[1])
+            for key in self._digest_voters.buckets()
+            if key[0] == sequence
+        )
+        if not self._digest_voters.reached((sequence, digest)):
+            digest = b""
+        self._make_stable(sequence, digest)
+        return True
 
     def _make_stable(self, sequence: int, state_digest: bytes = b"") -> None:
         if not state_digest:
@@ -115,8 +123,10 @@ class CheckpointStore:
         # Truncate the log: anything at or below the stable point is garbage-collected.
         for seq in [s for s in self._batches_since if s <= sequence]:
             del self._batches_since[seq]
-        for seq in [s for s in self._votes if s <= sequence]:
-            del self._votes[seq]
+        for seq in [s for s in self._voters.buckets() if s <= sequence]:
+            self._voters.discard(seq)
+        for key in [k for k in self._digest_voters.buckets() if k[0] <= sequence]:
+            self._digest_voters.discard(key)
         # Bounded stable history: keep only the latest ``keep_stable`` records.
         if self.keep_stable > 0:
             for seq in sorted(self._stable)[: -self.keep_stable]:
@@ -142,6 +152,4 @@ class CheckpointStore:
     @property
     def pending_vote_count(self) -> int:
         """Outstanding checkpoint votes above the stable point (a memory gauge)."""
-        return sum(
-            len(voters) for buckets in self._votes.values() for voters in buckets.values()
-        )
+        return self._digest_voters.votes

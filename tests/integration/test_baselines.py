@@ -70,8 +70,8 @@ class TestAhl:
         assert cluster.run_until_clients_done(timeout=120.0)
         record = cluster.primary_of(0).ahl_record(digest)
         assert record is not None
-        assert record.decision_sent
-        assert set(record.shard_votes) == {1, 2}
+        assert record.committee_tally.reached(digest)
+        assert set(record.vote_tally.buckets()) == {1, 2}
 
     def test_cross_shard_uses_all_to_all_communication(self):
         # Every committee replica sends Prepare2PC to every replica of every
@@ -81,6 +81,18 @@ class TestAhl:
         assert cluster.run_until_clients_done(timeout=120.0)
         counts = cluster.message_counts()
         assert counts["Prepare2PC"] == 4 * 8  # 4 committee replicas x 8 involved replicas
+
+    def test_committee_vote_is_sent_once_per_batch(self):
+        # Regression: every Vote2PC arriving after the last shard's quorum
+        # re-broadcast the CommitteeVote (1200 messages at 2 x 13 instead of
+        # 13 x 12).  Each committee replica now broadcasts it at most once.
+        n = 13
+        cluster = build_cluster(num_shards=2, replicas=n, replica_class=AhlReplica)
+        cluster.submit(_cross_txn(cluster, (0, 1), "ahl-committee-vote"))
+        assert cluster.run_until_clients_done(timeout=120.0)
+        for replica in cluster.shard_replicas(0):
+            assert replica.stats.sent_count.get("CommitteeVote", 0) == n - 1
+        assert cluster.message_counts()["CommitteeVote"] == n * (n - 1)
 
     def test_multiple_cross_shard_transactions(self):
         cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
@@ -170,6 +182,32 @@ class TestAhl:
         primary._handle_prepare_2pc(prepare(committee[2], 1))
         assert proposed == ["ahl-lied-about"]
         assert primary.ahl_record(digest).dest_sequence == 1
+
+    def test_committee_assigns_prepare_indices_in_sequence_order(self):
+        """Regression: pipelined slots commit in any order, and assigning the
+        dense index at commit time let committee replicas give two batches
+        opposite indices, stalling the involved shard.  Indices follow the
+        committee's sequence order whatever order the slots commit in."""
+        cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
+        committee_primary = cluster.primary_of(0)
+        sent = []
+        committee_primary._send_prepare_2pc = lambda record, sequence: sent.append(sequence)
+        batches = {}
+        for sequence in (1, 2):
+            request = ClientRequest(
+                sender="client-0", transaction=_cross_txn(cluster, (1, 2), f"ahl-order-{sequence}")
+            )
+            batches[sequence] = (batch_digest((request,)), (request,))
+        # Sequence 2 commits first: its 2PC waits for sequence 1.
+        committee_primary._on_batch_committed(0, 2, *batches[2])
+        assert sent == []
+        # Sequence 1 commits; the ledger, appended in order, reaches both.
+        committee_primary._ledger_appended = 2
+        committee_primary._on_batch_committed(0, 1, *batches[1])
+        assert sent == [1, 2]
+        for sequence, (digest, _) in batches.items():
+            record = committee_primary.ahl_record(digest)
+            assert record.shard_sequences == {1: sequence, 2: sequence}
 
     def test_state_transfer_degrades_ordering_without_stalling(self):
         """A replica whose cursor went stale through state transfer falls

@@ -367,10 +367,9 @@ class TestViewChangeMidShapedWindow:
                 replica._broadcast_shard = on_broadcast
 
             def crash_once_prepared():
-                quorum = primary.quorum.commit_quorum
                 if victim and all(
                     (0, victim["sequence"], victim["digest"])
-                    in replica.log.prepared_sequences(quorum)
+                    in replica.log.prepared_sequences()
                     for replica in members
                     if replica is not primary
                 ):

@@ -397,6 +397,66 @@ class TestLockDisciplineRules:
 
 
 # ---------------------------------------------------------------------------
+# quorum tally
+# ---------------------------------------------------------------------------
+
+
+class TestQuorumTallyRule:
+    # The shape AHL's decision round had: a sender set, a len() against the
+    # commit quorum, and an "already acted" flag beside it.
+    _HAND_ROLLED = (
+        "class Replica:\n"
+        "    def on_vote(self, record, message):\n"
+        "        record.voters.add(str(message.sender))\n"
+        "        if record.decided:\n"
+        "            return\n"
+        "        if len(record.voters) < self.quorum.commit_quorum:\n"
+        "            return\n"
+        "        record.decided = True\n"
+        "\n"
+        "    def on_reply(self, entry, message):\n"
+        "        needed = self.directory.quorum(entry.shard).weak_quorum\n"
+        "        if needed <= len(entry.replies):\n"
+        "            self.complete(entry)\n"
+    )
+
+    _TALLIED = (
+        "class Replica:\n"
+        "    def on_vote(self, record, message):\n"
+        "        if record.tally.add(message.batch_digest, message.sender):\n"
+        "            self.decide(record)\n"
+        "\n"
+        "    def window_full(self):\n"
+        "        return len(self._open_slots) >= self.pipeline.depth\n"
+    )
+
+    def _analyze(self, tmp_path, body, module="src/repro/baselines/snippet.py"):
+        _write(tmp_path, module, body)
+        return run_analysis(tmp_path, select=("quorum-tally",))
+
+    def test_len_against_a_threshold_is_flagged_directly_and_through_a_local(self, tmp_path):
+        report = self._analyze(tmp_path, self._HAND_ROLLED)
+        findings = _rules_of(report, "quorum-tally")
+        assert [f.symbol for f in findings] == ["Replica.on_vote", "Replica.on_reply"]
+
+    def test_tally_and_non_quorum_lengths_are_clean(self, tmp_path):
+        assert not self._analyze(tmp_path, self._TALLIED).findings
+
+    def test_the_quorum_module_itself_is_exempt(self, tmp_path):
+        report = self._analyze(tmp_path, self._HAND_ROLLED, module="src/repro/common/quorum.py")
+        assert not report.findings
+
+    def test_pragma_with_reason_suppresses(self, tmp_path):
+        body = self._HAND_ROLLED.replace(
+            "        if len(record.voters)",
+            "        # repro: allow[quorum-tally] keeps the messages for a certificate\n"
+            "        if len(record.voters)",
+        )
+        report = self._analyze(tmp_path, body)
+        assert [f.symbol for f in _rules_of(report, "quorum-tally")] == ["Replica.on_reply"]
+
+
+# ---------------------------------------------------------------------------
 # pragmas
 # ---------------------------------------------------------------------------
 

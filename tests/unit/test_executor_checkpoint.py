@@ -106,50 +106,50 @@ class TestCheckpointStore:
         )
 
     def test_should_checkpoint_every_interval(self):
-        checkpoints = CheckpointStore(interval=10)
+        checkpoints = CheckpointStore(interval=10, quorum=3)
         assert checkpoints.should_checkpoint(10)
         assert checkpoints.should_checkpoint(20)
         assert not checkpoints.should_checkpoint(5)
         assert not checkpoints.should_checkpoint(0)
 
     def test_checkpoint_becomes_stable_with_quorum(self):
-        checkpoints = CheckpointStore(interval=5)
+        checkpoints = CheckpointStore(interval=5, quorum=3)
         for seq in range(1, 6):
             checkpoints.record_batch(seq, self._txns(f"b{seq}", 2))
-        assert not checkpoints.add_vote(5, "r0", quorum=3)
-        assert not checkpoints.add_vote(5, "r1", quorum=3)
-        assert checkpoints.add_vote(5, "r2", quorum=3)
+        assert not checkpoints.add_vote(5, "r0")
+        assert not checkpoints.add_vote(5, "r1")
+        assert checkpoints.add_vote(5, "r2")
         assert checkpoints.last_stable_sequence == 5
 
     def test_duplicate_votes_do_not_reach_quorum(self):
-        checkpoints = CheckpointStore(interval=5)
-        assert not checkpoints.add_vote(5, "r0", quorum=2)
-        assert not checkpoints.add_vote(5, "r0", quorum=2)
+        checkpoints = CheckpointStore(interval=5, quorum=2)
+        assert not checkpoints.add_vote(5, "r0")
+        assert not checkpoints.add_vote(5, "r0")
 
     def test_stable_checkpoint_truncates_log(self):
-        checkpoints = CheckpointStore(interval=3)
+        checkpoints = CheckpointStore(interval=3, quorum=3)
         for seq in range(1, 7):
             checkpoints.record_batch(seq, self._txns(f"b{seq}", 1))
         for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(3, replica, quorum=3)
+            checkpoints.add_vote(3, replica)
         assert checkpoints.log_size == 3  # batches 4-6 remain
         assert [seq for seq, _ in checkpoints.batches_after(3)] == [4, 5, 6]
 
     def test_stable_record_covers_batches_since_previous_checkpoint(self):
-        checkpoints = CheckpointStore(interval=2)
+        checkpoints = CheckpointStore(interval=2, quorum=3)
         checkpoints.record_batch(1, self._txns("a", 1))
         checkpoints.record_batch(2, self._txns("b", 1))
         for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(2, replica, quorum=3)
+            checkpoints.add_vote(2, replica)
         record = checkpoints.stable_record(2)
         assert record is not None
         assert [seq for seq, _ in record.batches] == [1, 2]
 
     def test_old_checkpoints_do_not_regress_stability(self):
-        checkpoints = CheckpointStore(interval=2)
+        checkpoints = CheckpointStore(interval=2, quorum=3)
         for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(4, replica, quorum=3)
+            checkpoints.add_vote(4, replica)
         assert checkpoints.last_stable_sequence == 4
         for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(2, replica, quorum=3)
+            checkpoints.add_vote(2, replica)
         assert checkpoints.last_stable_sequence == 4

@@ -79,16 +79,22 @@ class TestForwardReuse:
         assert replica.auth_tags_created == tags_created
 
 
+def _record() -> CrossShardRecord:
+    return CrossShardRecord(
+        batch_digest=b"\x01" * 32, involved_shards=frozenset({0, 1}), weak_quorum=lambda shard: 2
+    )
+
+
 class TestWriteSetVersioning:
     def test_merging_identical_values_does_not_bump_the_version(self):
-        record = CrossShardRecord(batch_digest=b"\x01" * 32, involved_shards=frozenset({0, 1}))
+        record = _record()
         record.merge_write_sets({0: {"k": "v"}})
         version = record.write_sets_version
         record.merge_write_sets({0: {"k": "v"}})
         assert record.write_sets_version == version
 
     def test_new_keys_and_changed_values_bump_the_version(self):
-        record = CrossShardRecord(batch_digest=b"\x01" * 32, involved_shards=frozenset({0, 1}))
+        record = _record()
         record.merge_write_sets({0: {"k": "v"}})
         v1 = record.write_sets_version
         record.merge_write_sets({0: {"k2": "w"}})
@@ -97,7 +103,7 @@ class TestWriteSetVersioning:
         assert v1 < v2 < record.write_sets_version
 
     def test_add_local_writes_is_version_tracked(self):
-        record = CrossShardRecord(batch_digest=b"\x01" * 32, involved_shards=frozenset({0, 1}))
+        record = _record()
         record.add_local_writes(0, {"k": "v"})
         version = record.write_sets_version
         record.add_local_writes(0, {"k": "v"})
