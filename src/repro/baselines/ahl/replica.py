@@ -85,6 +85,10 @@ class AhlReplica(PbftReplica):
     def is_committee_member(self) -> bool:
         return self.shard_id == self.committee_shard
 
+    def _from_committee(self, message) -> bool:
+        """Only committee replicas speak for the committee's decision."""
+        return getattr(message.sender, "shard", None) == self.committee_shard
+
     def _record(
         self,
         digest: bytes,
@@ -341,7 +345,9 @@ class AhlReplica(PbftReplica):
             self._finish_cross_shard(record)
 
     def _handle_vote_2pc(self, message: Vote2PC) -> None:
-        if not self.is_committee_member:
+        # A replica votes only for its own shard: a vote claiming another
+        # shard's bucket would let f + 1 replicas of one shard decide for it.
+        if not self.is_committee_member or getattr(message.sender, "shard", None) != message.shard:
             return
         record = self._record(message.batch_digest)
         if record.vote_tally.add(message.shard, message.sender) and (
@@ -366,7 +372,7 @@ class AhlReplica(PbftReplica):
         self.broadcast(list(self.directory.replicas_of(self.committee_shard)), vote, include_self=True)
 
     def _handle_committee_vote(self, message: CommitteeVote) -> None:
-        if not self.is_committee_member:
+        if not self.is_committee_member or not self._from_committee(message):
             return
         record = self._record(message.batch_digest)
         if record.committee_tally.add(message.batch_digest, message.sender):
@@ -390,7 +396,7 @@ class AhlReplica(PbftReplica):
 
     def _handle_decide_2pc(self, message: Decide2PC) -> None:
         record = self._records.get(message.batch_digest)
-        if record is None:
+        if record is None or not self._from_committee(message):
             return
         if record.decide_tally.add(message.batch_digest, message.sender):
             self._finish_cross_shard(record)

@@ -24,7 +24,7 @@ from repro.common.quorum import Tally
 from repro.common.types import ReplicaId
 from repro.config import TimerConfig
 from repro.consensus.directory import Directory
-from repro.sim.network import Network
+from repro.netem.fabric import LinkFabric
 from repro.sim.node import Node
 from repro.txn.transaction import Transaction
 
@@ -60,7 +60,7 @@ class Client(Node):
         self,
         client_id: str,
         directory: Directory,
-        network: Network,
+        network: LinkFabric,
         keystore: KeyStore,
         *,
         region: str = "local",

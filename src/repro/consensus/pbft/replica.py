@@ -47,7 +47,7 @@ from repro.config import PipelineConfig, TimerConfig
 from repro.consensus.directory import Directory
 from repro.consensus.pbft.log import ConsensusLog, SlotState
 from repro.consensus.pbft.pacing import ArrivalRateEstimator
-from repro.sim.network import Network
+from repro.netem.fabric import LinkFabric
 from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.executor import ExecutionEngine
@@ -68,7 +68,7 @@ class PbftReplica(Node):
         self,
         replica_id: ReplicaId,
         directory: Directory,
-        network: Network,
+        network: LinkFabric,
         keystore: KeyStore,
         *,
         timers: TimerConfig | None = None,

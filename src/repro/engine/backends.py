@@ -24,29 +24,11 @@ from typing import Callable, Hashable
 
 from repro.engine.protocols import Scheduler, Transport
 from repro.errors import ConfigurationError
-from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SocketTransport
-from repro.netem import LatencyModel, LinkEmulator, NetemPolicy, NetworkConditions
+from repro.netem import LinkEmulator, NetemPolicy
 from repro.rt.transport import RealTimeScheduler
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-
-
-def _resolve_policy(netem: NetemPolicy | None, latency: LatencyModel | None) -> NetemPolicy:
-    """One link policy from the two ways callers can spell it.
-
-    ``netem`` carries its own :class:`LatencyModel`, so accepting a separate
-    ``latency`` alongside it would silently ignore one of them -- that
-    combination is a configuration error, not a precedence question.
-    """
-    if netem is not None:
-        if latency is not None:
-            raise ConfigurationError(
-                "pass either latency or netem, not both -- a NetemPolicy carries "
-                "its own LatencyModel (NetemPolicy(latency=...))"
-            )
-        return netem
-    return NetemPolicy(latency=latency or LatencyModel())
 
 
 class ExecutionBackend(abc.ABC):
@@ -111,21 +93,9 @@ class SimBackend(ExecutionBackend):
 
     name = "sim"
 
-    def __init__(
-        self,
-        *,
-        seed: int = 2022,
-        latency: LatencyModel | None = None,
-        conditions: NetworkConditions | None = None,
-        netem: NetemPolicy | None = None,
-    ) -> None:
+    def __init__(self, *, seed: int = 2022, netem: NetemPolicy | None = None) -> None:
         self.simulator = Simulator(seed=seed)
-        emulator = LinkEmulator(
-            _resolve_policy(netem, latency),
-            conditions or NetworkConditions(),
-            seed=seed,
-        )
-        self.network = Network(self.simulator, emulator=emulator)
+        self.network = Network(self.simulator, LinkEmulator(netem or NetemPolicy(), seed=seed))
 
     @property
     def scheduler(self) -> Simulator:
@@ -174,10 +144,10 @@ class SocketBackend(ExecutionBackend):
     construction eager and symmetric with the simulator and lets one
     deployment be driven several times (run, inspect, run again).
 
-    Constructed by name (``--backend socket``) it hosts every node locally
-    with ``wire_loopback`` on, so even a single-process deployment pushes
-    every message through encode -> frame -> TCP -> decode -> MAC-verify via
-    its own listening socket.  The listening socket is bound eagerly during
+    Constructed by name (``--backend socket``) it hosts every node locally,
+    and even a single-process deployment pushes every message through
+    encode -> frame -> TCP -> decode -> MAC-verify via its own listening
+    socket.  The listening socket is bound eagerly during
     construction (nodes enqueue wire traffic before the loop first runs), so
     ``listen_endpoint`` is valid immediately.
     """
@@ -194,9 +164,6 @@ class SocketBackend(ExecutionBackend):
         address_map: dict[Hashable, tuple[str, int]] | None = None,
         default_endpoint: tuple[str, int] | None = None,
         seed: int = 2022,
-        max_frame: int = MAX_FRAME_BYTES,
-        wire_loopback: bool = True,
-        conditions: NetworkConditions | None = None,
         netem: NetemPolicy | None = None,
     ) -> None:
         self._loop = asyncio.new_event_loop()
@@ -210,9 +177,7 @@ class SocketBackend(ExecutionBackend):
             listen=listen,
             address_map=address_map,
             default_endpoint=default_endpoint,
-            max_frame=max_frame,
-            wire_loopback=wire_loopback,
-            emulator=LinkEmulator(netem, conditions, seed=seed),
+            emulator=LinkEmulator(netem, seed=seed),
         )
         self._loop.run_until_complete(self._transport.start())
 
@@ -271,34 +236,15 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
     SocketBackend.name: SocketBackend,
 }
 
-#: Construction knobs each backend understands when built by name (everything
-#: else a uniform call site passes is silently dropped).
-_BACKEND_KWARGS: dict[str, tuple[str, ...]] = {
-    SimBackend.name: ("seed", "latency", "conditions", "netem"),
-    SocketBackend.name: (
-        "seed",
-        "conditions",
-        "netem",
-        "listen",
-        "address_map",
-        "default_endpoint",
-        "max_frame",
-        "wire_loopback",
-    ),
-}
-
 
 def backend_by_name(name: str, **kwargs) -> ExecutionBackend:
     """Instantiate a built-in backend from its ``--backend`` name.
 
-    Keyword arguments not understood by the selected backend (e.g. latency
-    models for the socket backend, listen endpoints for the simulator) are
-    silently dropped, so call sites can pass one uniform set of knobs.
+    Keyword arguments go to the backend's constructor unchanged, so a knob
+    the chosen backend does not take raises a ``TypeError`` naming it.
     """
     if name not in BACKENDS:
         raise ConfigurationError(
             f"unknown execution backend {name!r}; known: {sorted(BACKENDS)}"
         )
-    allowed = _BACKEND_KWARGS[name]
-    kwargs = {k: v for k, v in kwargs.items() if k in allowed}
     return BACKENDS[name](**kwargs)

@@ -31,7 +31,7 @@ from repro.engine.backends import ExecutionBackend, backend_by_name
 from repro.engine.protocols import Scheduler, Transport
 from repro.errors import ConfigurationError
 from repro.metrics.collector import percentile, summarize_pipeline
-from repro.netem import LatencyModel, NetemPolicy, region_map_for
+from repro.netem import NetemPolicy, region_map_for
 from repro.storage.kvstore import ShardedKeyValueStore
 from repro.txn.transaction import Transaction
 
@@ -128,7 +128,6 @@ class Deployment:
         replica_class: type[PbftReplica] = RingBftReplica,
         num_clients: int = 1,
         batch_size: int | None = None,
-        latency: LatencyModel | None = None,
         netem: NetemPolicy | None = None,
         seed: int = 2022,
         preload_table: bool = True,
@@ -154,14 +153,12 @@ class Deployment:
         default ``None`` every replica is hosted in-process.
         """
         if isinstance(backend, str):
-            backend = backend_by_name(backend, seed=seed, latency=latency, netem=netem)
+            backend = backend_by_name(backend, seed=seed, netem=netem)
         directory = Directory.from_config(config)
-        emulator = getattr(backend.transport, "emulator", None)
-        if emulator is not None:
-            # Every configured replica -- not just the locally-hosted subset
-            # -- so the socket transport knows the region of remote peers it
-            # only ever dials.
-            emulator.assign_regions(region_map_for(directory, config.shards))
+        # Every configured replica -- not just the locally-hosted subset --
+        # so the socket transport knows the region of remote peers it only
+        # ever dials.
+        backend.transport.emulator.assign_regions(region_map_for(directory, config.shards))
         keystore = KeyStore()
         table = ShardedKeyValueStore(config.shard_ids, config.workload.num_records)
 

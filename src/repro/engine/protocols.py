@@ -1,4 +1,4 @@
-"""Structural protocols every execution backend must provide.
+"""The three surfaces every execution backend must provide.
 
 The protocol classes (``PbftReplica``, its subclasses, and ``Client``) touch
 their environment through three narrow surfaces only:
@@ -7,9 +7,11 @@ their environment through three narrow surfaces only:
   simulator, wall-clock seconds on the socket backend);
 * a :class:`Scheduler` -- one-shot timers plus a deterministic random source;
 * a :class:`Transport` -- node registry and message delivery with fault
-  conditions.
+  conditions.  This one is a base class, not a structural protocol: both
+  transports share its front half (:class:`repro.netem.fabric.LinkFabric`)
+  and add only their delivery back end.
 
-Anything implementing these three protocols can host the unmodified protocol
+Anything providing these three surfaces can host the unmodified protocol
 code, which is what makes the execution engine pluggable (the same pattern
 Hyperledger Sawtooth uses for dynamic consensus engines).  The two built-in
 implementations are the deterministic discrete-event simulator
@@ -21,12 +23,11 @@ and the real-TCP socket stack (:class:`repro.rt.transport.RealTimeScheduler`
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Hashable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.common.messages import Message
-    from repro.netem.conditions import NetworkConditions
-    from repro.sim.node import Node
+from repro.netem.fabric import LinkFabric as Transport
+
+__all__ = ["Clock", "Scheduler", "TimerCancelHandle", "Transport"]
 
 
 @runtime_checkable
@@ -63,23 +64,3 @@ class Scheduler(Protocol):
     def schedule(self, delay: float, callback, *args) -> TimerCancelHandle: ...
 
     def schedule_at(self, time: float, callback, *args) -> TimerCancelHandle: ...
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """Message fabric connecting the nodes of one deployment."""
-
-    conditions: "NetworkConditions"
-
-    @property
-    def simulator(self) -> Scheduler: ...
-
-    def register(self, node: "Node") -> None: ...
-
-    def node(self, address: Hashable) -> "Node": ...
-
-    def known_addresses(self) -> tuple[Hashable, ...]: ...
-
-    def send(self, src: Hashable, dst: Hashable, message: "Message") -> None: ...
-
-    def multicast(self, src: Hashable, dsts, message: "Message") -> None: ...

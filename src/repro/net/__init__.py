@@ -7,10 +7,10 @@ execution path:
   version, max-frame guard, incremental decode tolerant of partial reads);
 * :mod:`repro.net.wire` -- message envelopes and the control-plane
   request/reply pair carried inside frames;
-* :mod:`repro.net.transport` -- the asyncio TCP :class:`SocketTransport`
-  implementing the same :class:`~repro.engine.protocols.Transport` surface as
-  the simulator's network, with per-peer reconnect/backoff and the multicast
-  encode-once fast path;
+* :mod:`repro.net.transport` -- the asyncio TCP :class:`SocketTransport`,
+  the wire back end under the link front end it shares with the simulator's
+  network (:class:`~repro.netem.fabric.LinkFabric`), with per-peer
+  reconnect/backoff and the multicast encode-once fast path;
 * :mod:`repro.net.launcher` -- the multi-process deployment harness behind
   ``ringbft serve`` / ``ringbft deploy-local``.
 """

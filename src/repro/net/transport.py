@@ -1,9 +1,10 @@
-"""Asyncio TCP transport: the third implementation of the ``Transport`` protocol.
+"""Asyncio TCP transport: the socket backend's half of the link front end.
 
-``SocketTransport`` speaks real sockets while presenting the exact surface
-the protocol classes already use (``register`` / ``send`` / ``multicast`` /
-``node`` / ``known_addresses`` / ``simulator``), so replicas and clients run
-over TCP unchanged.  Key properties:
+``SocketTransport`` is a :class:`~repro.netem.fabric.LinkFabric`, the front
+end the simulator's network shares: node registry, one link-emulator
+decision per copy, and the delivered / dropped / multicast counters.  What
+this module adds is the wire, so replicas and clients run over TCP
+unchanged.  Key properties:
 
 * **Framed canonical wire format** -- every message crosses the network as a
   :mod:`repro.net.framing` frame holding a deliver envelope (destination,
@@ -14,18 +15,18 @@ over TCP unchanged.  Key properties:
   failures; frames queue (bounded) while a peer is unreachable, and losses
   are absorbed by the protocol's own retransmission timers, exactly like a
   lossy network.
-* **Multicast fast path** -- mirroring the in-process transports: one
-  fan-out encodes the tag vector and the message once and writes per-peer
-  frames that differ only in the destination item.
+* **Multicast fast path** -- one fan-out encodes the tag vector and the
+  message once and writes per-peer frames that differ only in the
+  destination item.
 * **Fail-stop on garbage** -- a malformed frame or envelope poisons only the
   connection that carried it; the transport counts it, drops the connection,
   and keeps serving every other peer.
-* **Link emulation** -- the transport consults the same
-  :class:`~repro.netem.LinkEmulator` as the in-process backends at send time:
-  injected faults suppress the outbound copy, and under a geo policy every
-  frame is held for the emulated one-way WAN delay (scheduled on the
-  protocol scheduler) before it is queued for its peer, so ``--geo`` runs on
-  loopback TCP reproduce real region-to-region latency.
+* **Link emulation** -- the shared front end consults the
+  :class:`~repro.netem.LinkEmulator` at send time: injected faults suppress
+  the outbound copy, and under a geo policy every frame is held for the
+  emulated one-way WAN delay (scheduled on the protocol scheduler) before it
+  is queued for its peer, so ``--geo`` runs on loopback TCP reproduce real
+  region-to-region latency.
 * **Per-peer write coalescing** -- frames that are ready together leave in
   one ``write()``/``drain()`` per peer per loop tick instead of one syscall
   each; under emulated WAN delay whole protocol rounds release in bursts,
@@ -42,11 +43,12 @@ in a launcher deployment, the coordinator process that hosts them.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
-from repro.errors import ConfigurationError, MalformedMessageError, NetworkError
+from repro.errors import MalformedMessageError, NetworkError
 from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.net.wire import (
     ControlReply,
@@ -56,13 +58,12 @@ from repro.net.wire import (
     encode_envelope_control,
     encode_envelope_multi,
 )
-from repro.netem.conditions import NetworkConditions
 from repro.netem.emulator import LinkEmulator
+from repro.netem.fabric import FabricStats, LinkFabric
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.messages import Message
     from repro.rt.transport import RealTimeScheduler
-    from repro.sim.node import Node
 
 Endpoint = tuple[str, int]
 
@@ -84,8 +85,9 @@ COALESCE_MAX_BYTES = 256 * 1024
 
 
 @dataclass
-class SocketStats:
-    """Wire-level counters for one transport (one OS process)."""
+class SocketStats(FabricStats):
+    """Wire-level counters for one transport (one OS process), on top of
+    the shared per-copy ``delivered`` / ``dropped`` / ``multicasts``."""
 
     frames_sent: int = 0
     frames_received: int = 0
@@ -98,17 +100,10 @@ class SocketStats:
     coalesced_frames: int = 0
     #: Frames whose enqueue was deferred by an emulated link delay.
     netem_delayed: int = 0
-    #: Messages handed to local nodes (both wire deliveries and the
-    #: zero-copy local path).
-    delivered: int = 0
-    #: Fan-outs served by the encode-once multicast fast path.
-    multicasts: int = 0
     #: Frames or envelopes rejected as garbage (connection dropped each time).
     malformed_frames: int = 0
     #: Outbound frames abandoned (peer queue full or write attempts exhausted).
     dropped_frames: int = 0
-    #: Messages suppressed by injected fault conditions (drops, blocked links).
-    faults_injected: int = 0
     #: Exceptions raised by a local node's handler for a delivered message.
     delivery_errors: int = 0
     #: Wire deliveries addressed to a node this process does not host.
@@ -118,25 +113,7 @@ class SocketStats:
     control_requests: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "writes": self.writes,
-            "coalesced_frames": self.coalesced_frames,
-            "netem_delayed": self.netem_delayed,
-            "delivered": self.delivered,
-            "multicasts": self.multicasts,
-            "malformed_frames": self.malformed_frames,
-            "dropped_frames": self.dropped_frames,
-            "faults_injected": self.faults_injected,
-            "delivery_errors": self.delivery_errors,
-            "unroutable": self.unroutable,
-            "connects": self.connects,
-            "connect_failures": self.connect_failures,
-            "control_requests": self.control_requests,
-        }
+        return dataclasses.asdict(self)
 
 
 class _PeerLink:
@@ -246,15 +223,15 @@ class _PeerLink:
                 pass
 
 
-class SocketTransport:
-    """Message fabric over real TCP, API-compatible with ``sim.network.Network``.
+class SocketTransport(LinkFabric):
+    """Message fabric over real TCP, sharing the simulator network's front end.
 
-    ``wire_loopback=True`` (the default) routes even locally-hosted
-    destinations through the full encode -> frame -> TCP -> decode -> verify
-    path via the transport's own listening socket, so a single-process
-    deployment still exercises the real wire; the multi-process launcher
-    leaves it on (each process hosts disjoint nodes, so it is moot there) and
-    tests can switch it off to get the zero-copy local path.
+    Every destination, including one this process hosts, is reached over
+    TCP: a local node through the transport's own listening socket, so a
+    single-process deployment exercises encode -> frame -> TCP -> decode ->
+    verify end to end.  Without an explicit ``emulator`` the transport gets
+    the no-emulation engine (faults honoured, zero delay), seeded from the
+    scheduler.
     """
 
     def __init__(
@@ -266,33 +243,16 @@ class SocketTransport:
         address_map: dict[Hashable, Endpoint] | None = None,
         default_endpoint: Endpoint | None = None,
         max_frame: int = MAX_FRAME_BYTES,
-        wire_loopback: bool = True,
-        conditions: NetworkConditions | None = None,
         emulator: LinkEmulator | None = None,
     ) -> None:
-        self._scheduler = scheduler
+        super().__init__(
+            scheduler, emulator or LinkEmulator(None, seed=scheduler.seed), SocketStats()
+        )
         self._loop = loop
         self._listen = listen
         self._address_map = dict(address_map or {})
         self._default_endpoint = default_endpoint
         self.max_frame = max_frame
-        self.wire_loopback = wire_loopback
-        #: Consulted at send time exactly like the in-process backends: the
-        #: emulator's fault conditions (drops, blocked links, isolation)
-        #: suppress the outbound copy, emulated loss drops it, and a geo
-        #: policy's one-way delay defers the enqueue -- so fault studies and
-        #: WAN scenarios on ``--backend socket`` behave like the simulator's.
-        #: Without an explicit emulator the transport gets the no-emulation
-        #: engine (faults honoured, zero delay), preserving plain loopback.
-        if emulator is None:
-            emulator = LinkEmulator(None, conditions, seed=getattr(scheduler, "seed", 2022))
-        elif conditions is not None:
-            # Mirror the in-process transports: the emulator owns its
-            # conditions, so a standalone argument must not coexist with it.
-            raise ConfigurationError("pass either an emulator or conditions, not both")
-        self.emulator = emulator
-        self.stats = SocketStats()
-        self._nodes: dict[Hashable, "Node"] = {}
         self._links: dict[Endpoint, _PeerLink] = {}
         self._server: asyncio.base_events.Server | None = None
         self._bound: Endpoint | None = None
@@ -304,145 +264,73 @@ class SocketTransport:
         self.control_handler = None
 
     # ------------------------------------------------------------------
-    # Transport protocol surface
+    # outbound path
     # ------------------------------------------------------------------
 
-    @property
-    def simulator(self) -> "RealTimeScheduler":
-        return self._scheduler
+    def _resolve(self, dst: Hashable) -> _PeerLink:
+        """The peer link that carries frames for ``dst``.
 
-    @property
-    def conditions(self) -> NetworkConditions:
-        return self.emulator.conditions
-
-    def register(self, node: "Node") -> None:
-        if node.address in self._nodes:
-            raise NetworkError(f"address {node.address!r} is already registered")
-        self._nodes[node.address] = node
-        self.emulator.assign_region(node.address, node.region)
-
-    def node(self, address: Hashable) -> "Node":
-        if address not in self._nodes:
-            raise NetworkError(f"node {address!r} is not hosted by this process")
-        return self._nodes[address]
-
-    def known_addresses(self) -> tuple[Hashable, ...]:
-        return tuple(self._nodes) + tuple(
-            a for a in self._address_map if a not in self._nodes
-        )
-
-    def _decide(self, src: Hashable, dst: Hashable, size: int) -> tuple[bool, float]:
-        """Send-time link decision, mirroring the in-process backends.
-
-        Suppressed sends (injected faults and emulated loss alike) are
-        tallied in ``faults_injected``; delivered sends carry the emulated
-        one-way delay forward.
+        Resolved before the link decision, so a misconfigured address book
+        fails loudly in the caller (not inside the timer callback an emulated
+        delay defers the enqueue to), and a delayed frame firing after
+        :meth:`aclose` hits its already-closed link instead of recreating one.
         """
-        deliver, delay = self.emulator.decide(src, dst, size)
-        if not deliver:
-            self.stats.faults_injected += 1
-        return deliver, delay
+        endpoint = self._address_map.get(dst)
+        if endpoint is None:
+            if dst in self._nodes:
+                # Our own listening socket is the peer.
+                if self._bound is None:
+                    raise NetworkError(
+                        "a hosted destination requires a started transport (call start() first)"
+                    )
+                endpoint = self._bound
+            elif self._default_endpoint is not None:
+                endpoint = self._default_endpoint
+            else:
+                raise NetworkError(f"no TCP endpoint known for destination {dst!r}")
+        link = self._links.get(endpoint)
+        if link is None:
+            link = self._links[endpoint] = _PeerLink(endpoint, self._loop, self.stats)
+        return link
 
     def send(self, src: Hashable, dst: Hashable, message: "Message") -> None:
-        deliver, delay = self._decide(src, dst, message.wire_size())
-        if not deliver:
-            return
-        node = self._nodes.get(dst)
-        if node is not None and not self.wire_loopback:
-            self._deliver_local(node, message, delay)
-            return
-        self._send_frame(
-            dst, encode_frame(encode_envelope(dst, message), max_frame=self.max_frame), delay
-        )
+        routed = self._route(src, dst, message.wire_size())
+        if routed is not None:
+            frame = encode_frame(encode_envelope(dst, message), max_frame=self.max_frame)
+            self._send_frame(routed[0], frame, routed[1])
 
     def multicast(self, src: Hashable, dsts, message: "Message") -> None:
         """Fan-out fast path: tag vector and message encoded once for all
-        wire copies (per-destination frames differ only in the address item)."""
+        copies (per-destination frames differ only in the address item)."""
         if not dsts:
             return
         self.stats.multicasts += 1
         size = message.wire_size()
         wire_dsts: list = []
-        wire_delays: list[float] = []
+        routes: list[tuple[_PeerLink, float]] = []
         for dst in dsts:
-            deliver, delay = self._decide(src, dst, size)
-            if not deliver:
-                continue
-            node = self._nodes.get(dst)
-            if node is not None and not self.wire_loopback:
-                self._deliver_local(node, message, delay)
-            else:
+            routed = self._route(src, dst, size)
+            if routed is not None:
                 wire_dsts.append(dst)
-                wire_delays.append(delay)
+                routes.append(routed)
         if not wire_dsts:
             return
-        for dst, delay, body in zip(
-            wire_dsts, wire_delays, encode_envelope_multi(wire_dsts, message)
-        ):
-            self._send_frame(dst, encode_frame(body, max_frame=self.max_frame), delay)
+        for (link, delay), body in zip(routes, encode_envelope_multi(wire_dsts, message)):
+            self._send_frame(link, encode_frame(body, max_frame=self.max_frame), delay)
 
-    # ------------------------------------------------------------------
-    # outbound path
-    # ------------------------------------------------------------------
-
-    def _deliver_local(self, node: "Node", message: "Message", delay: float = 0.0) -> None:
-        if delay > 0.0:
-            self._scheduler.schedule(delay, self._deliver_local_now, node, message)
-        else:
-            self._loop.call_soon(self._deliver_local_now, node, message)
-
-    def _deliver_local_now(self, node: "Node", message: "Message") -> None:
-        if self._closing:
-            # Same teardown rule as the wire path: a netem-held local
-            # delivery whose timer fires mid-aclose must not reach a node of
-            # a deployment being dismantled.
-            return
-        self.stats.delivered += 1
-        node.deliver(message)
-
-    def _send_frame(self, dst: Hashable, frame: bytes, delay: float) -> None:
+    def _send_frame(self, link: _PeerLink, frame: bytes, delay: float) -> None:
         """Queue a frame for its peer, after the emulated link delay if any.
 
-        The hold happens send-side on the protocol scheduler, so the bytes hit the TCP socket only when
-        the emulated propagation time has passed -- the receiving process
-        measures genuine one-way WAN latency on its loopback connection.
-
-        The peer link is resolved *before* the hold: an unroutable
-        destination raises :class:`NetworkError` at send time (a
-        misconfigured address book must fail loudly in the caller, not as an
-        unhandled exception inside a timer callback), and a delayed frame
-        firing after :meth:`aclose` hits its already-closed link instead of
-        recreating one.
+        The hold happens send-side on the protocol scheduler, so the bytes
+        hit the TCP socket only when the emulated propagation time has
+        passed -- the receiving process measures genuine one-way WAN latency
+        on its loopback connection.
         """
-        link = self._link_for(dst)
         if delay > 0.0:
             self.stats.netem_delayed += 1
             self._scheduler.schedule(delay, self._enqueue_on_link, link, frame)
         else:
             self._enqueue_on_link(link, frame)
-
-    def _endpoint_for(self, dst: Hashable) -> Endpoint:
-        endpoint = self._address_map.get(dst)
-        if endpoint is not None:
-            return endpoint
-        if dst in self._nodes:
-            # wire_loopback: our own listening socket is the peer.
-            if self._bound is None:
-                raise NetworkError(
-                    "wire loopback requires a started transport (call start() first)"
-                )
-            return self._bound
-        if self._default_endpoint is not None:
-            return self._default_endpoint
-        raise NetworkError(f"no TCP endpoint known for destination {dst!r}")
-
-    def _link_for(self, dst: Hashable) -> _PeerLink:
-        endpoint = self._endpoint_for(dst)
-        link = self._links.get(endpoint)
-        if link is None:
-            link = _PeerLink(endpoint, self._loop, self.stats)
-            self._links[endpoint] = link
-        return link
 
     def _enqueue_on_link(self, link: _PeerLink, frame: bytes) -> None:
         if self._closing:

@@ -21,7 +21,7 @@ Two kinds of payload share the frame protocol:
   shutdown) used by the multi-process launcher.  They are ordinary registered
   wire types encoded directly as the frame body.
 
-The multicast fast path mirrors the in-process transports: the expensive
+The multicast fast path mirrors the simulator's network: the expensive
 shared suffix (tags + message, i.e. effectively the whole body) is encoded
 once per fan-out and only the per-destination address is encoded per copy --
 :func:`repro.common.codec.tuple_frame` reassembles bytes identical to a

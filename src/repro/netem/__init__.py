@@ -5,8 +5,10 @@ one-way delay derived from the region RTT matrix (or an explicit, possibly
 asymmetric :class:`DelayMatrix`), jitter, bandwidth/serialisation delay,
 steady-state loss, and the injected fault conditions -- behind one seeded,
 deterministic decision engine (:class:`LinkEmulator`).  The simulator's
-network and the TCP socket transport both consume the same engine, so a geo workload expressed once as a
-:class:`NetemPolicy` runs identically (modulo clock) on any backend.
+network and the TCP socket transport both subclass one front end
+(:class:`~repro.netem.fabric.LinkFabric`) that consults the engine once per
+message copy, so a geo workload expressed once as a :class:`NetemPolicy`
+runs identically (modulo clock) on any backend.
 """
 
 from repro.netem.conditions import NetworkConditions

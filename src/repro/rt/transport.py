@@ -51,6 +51,7 @@ class RealTimeScheduler:
 
     def __init__(self, loop: asyncio.AbstractEventLoop, *, seed: int = 2022) -> None:
         self._loop = loop
+        self.seed = seed
         self._rng = random.Random(seed)
         self._origin = self._loop.time()
         self._scheduled = 0

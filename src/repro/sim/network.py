@@ -5,9 +5,10 @@ shared link-emulation subsystem (:mod:`repro.netem`): region-to-region
 propagation, per-message serialisation delay, jitter, steady-state loss, and
 the injected fault conditions (message loss, one-directional link blocks for
 the paper's *no communication* / *partial communication* cross-shard attacks,
-and full node isolation) are all owned by one :class:`~repro.netem.LinkEmulator`
--- the same engine the socket transport consumes, so a WAN
-scenario expressed once runs identically on every backend.
+and full node isolation) are all owned by one :class:`~repro.netem.LinkEmulator`.
+The registry and the per-copy decision live in the front end both backends
+share (:class:`~repro.netem.fabric.LinkFabric`); this module adds only the
+simulator half: delivery as calendar events.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import NetworkError
 from repro.netem.conditions import NetworkConditions
 from repro.netem.emulator import LinkEmulator
+from repro.netem.fabric import FabricStats, LinkFabric
 from repro.netem.policy import NetemPolicy
-from repro.netem.regions import LatencyModel
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,74 +33,30 @@ __all__ = ["Network", "NetworkConditions", "NodeAddress"]
 
 
 @dataclass
-class _DeliveryStats:
-    delivered: int = 0
-    dropped: int = 0
+class _DeliveryStats(FabricStats):
     bytes_delivered: int = 0
-    #: Fan-out operations served by the multicast fast path.  Each multicast
-    #: is counted once here regardless of audience size; the per-copy
-    #: outcomes still land in ``delivered``/``dropped``.
-    multicasts: int = 0
 
 
-class Network:
-    """Message fabric shared by all nodes of one simulated deployment."""
+class Network(LinkFabric):
+    """Message fabric shared by all nodes of one simulated deployment.
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency: LatencyModel | None = None,
-        conditions: NetworkConditions | None = None,
-        emulator: LinkEmulator | None = None,
-    ) -> None:
-        self._sim = simulator
-        if emulator is None:
-            emulator = LinkEmulator(
-                NetemPolicy(latency=latency or LatencyModel()),
-                conditions,
-                seed=simulator.seed,
-            )
-        elif latency is not None or conditions is not None:
-            # An emulator owns its policy and conditions; accepting the
-            # standalone arguments alongside it would silently drop them.
-            raise ConfigurationError(
-                "pass either an emulator or latency/conditions, not both"
-            )
-        self._emulator = emulator
-        self._nodes: dict[NodeAddress, "Node"] = {}
-        self.stats = _DeliveryStats()
+    Without an ``emulator`` the network models the default WAN
+    (:class:`~repro.netem.NetemPolicy` over the paper's region latencies),
+    seeded from the simulator.
+    """
 
-    @property
-    def simulator(self) -> Simulator:
-        return self._sim
+    def __init__(self, simulator: Simulator, emulator: LinkEmulator | None = None) -> None:
+        super().__init__(
+            simulator,
+            emulator or LinkEmulator(NetemPolicy(), seed=simulator.seed),
+            _DeliveryStats(),
+        )
 
-    @property
-    def emulator(self) -> LinkEmulator:
-        return self._emulator
-
-    @property
-    def conditions(self) -> NetworkConditions:
-        return self._emulator.conditions
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        policy = self._emulator.policy
-        return policy.latency if policy is not None else LatencyModel()
-
-    def register(self, node: "Node") -> None:
-        """Attach a node to the fabric; addresses must be unique."""
-        if node.address in self._nodes:
-            raise NetworkError(f"address {node.address!r} is already registered")
-        self._nodes[node.address] = node
-        self._emulator.assign_region(node.address, node.region)
-
-    def node(self, address: NodeAddress) -> "Node":
-        if address not in self._nodes:
-            raise NetworkError(f"unknown node address {address!r}")
-        return self._nodes[address]
-
-    def known_addresses(self) -> tuple[NodeAddress, ...]:
-        return tuple(self._nodes)
+    def _resolve(self, dst: NodeAddress) -> "Node":
+        node = self._nodes.get(dst)
+        if node is None:
+            raise NetworkError(f"cannot deliver to unknown address {dst!r}")
+        return node
 
     def send(self, src: NodeAddress, dst: NodeAddress, message: "Message") -> None:
         """Deliver ``message`` from ``src`` to ``dst`` after the modelled delay.
@@ -107,20 +64,12 @@ class Network:
         Delivery is skipped (silently, as in a real lossy network) when fault
         conditions block the link or a loss coin comes up.
         """
-        self._send_one(src, dst, message, message.wire_size())
-
-    def _send_one(
-        self, src: NodeAddress, dst: NodeAddress, message: "Message", size: int
-    ) -> None:
-        if dst not in self._nodes:
-            raise NetworkError(f"cannot deliver to unknown address {dst!r}")
-        deliver, delay = self._emulator.decide(src, dst, size)
-        if not deliver:
-            self.stats.dropped += 1
-            return
-        # One shared bound method + argument tuple per delivery (no closure
-        # allocation): the kernel carries the args in the slotted event.
-        self._sim.schedule(delay, self._deliver_event, self._nodes[dst], message, size)
+        size = message.wire_size()
+        routed = self._route(src, dst, size)
+        if routed is not None:
+            # One shared bound method + argument tuple per delivery (no closure
+            # allocation): the kernel carries the args in the slotted event.
+            self._scheduler.schedule(routed[1], self._deliver_event, routed[0], message, size)
 
     def _deliver_event(self, receiver: "Node", message: "Message", size: int) -> None:
         self.stats.delivered += 1
@@ -155,18 +104,14 @@ class Network:
         self.stats.multicasts += 1
         buckets: dict[float, list["Node"]] = {}
         for dst in dsts:
-            if dst not in self._nodes:
-                raise NetworkError(f"cannot deliver to unknown address {dst!r}")
-            deliver, delay = self._emulator.decide(src, dst, size)
-            if not deliver:
-                self.stats.dropped += 1
-                continue
-            buckets.setdefault(delay, []).append(self._nodes[dst])
+            routed = self._route(src, dst, size)
+            if routed is not None:
+                buckets.setdefault(routed[1], []).append(routed[0])
         for delay, receivers in buckets.items():
             if len(receivers) == 1:
-                self._sim.schedule(delay, self._deliver_event, receivers[0], message, size)
+                self._scheduler.schedule(delay, self._deliver_event, receivers[0], message, size)
             else:
-                self._sim.schedule(delay, self._deliver_group, receivers, message, size)
+                self._scheduler.schedule(delay, self._deliver_group, receivers, message, size)
 
     def _deliver_group(self, receivers: list["Node"], message: "Message", size: int) -> None:
         for receiver in receivers:

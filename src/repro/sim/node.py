@@ -13,13 +13,13 @@ from typing import Hashable
 
 from repro.common.messages import Message, MessageStats
 from repro.sim.kernel import Simulator, TimerHandle
-from repro.sim.network import Network
+from repro.netem.fabric import LinkFabric
 
 
 class Node:
     """A single process attached to the simulated network."""
 
-    def __init__(self, address: Hashable, region: str, network: Network) -> None:
+    def __init__(self, address: Hashable, region: str, network: LinkFabric) -> None:
         self.address = address
         self.region = region
         self.network = network

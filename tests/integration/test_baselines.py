@@ -94,6 +94,53 @@ class TestAhl:
             assert replica.stats.sent_count.get("CommitteeVote", 0) == n - 1
         assert cluster.message_counts()["CommitteeVote"] == n * (n - 1)
 
+    def test_vote_2pc_counts_only_for_the_senders_own_shard(self):
+        """f + 1 MAC-valid Vote2PCs from shard 1 claiming shard 2 must not
+        fill shard 2's bucket: a replica speaks only for its own shard."""
+        from repro.baselines.ahl.messages import Vote2PC
+
+        cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
+        committee = cluster.primary_of(0)
+        digest = b"\x07" * 32
+
+        def deliver_votes(voters, claimed_shard):
+            for voter in voters:
+                vote = Vote2PC(
+                    sender=voter.replica_id, batch_digest=digest, shard=claimed_shard, commit=True
+                )
+                voter._authenticate_cross_shard_broadcast(vote, (0,))
+                committee.deliver(vote)
+
+        weak = cluster.directory.quorum(2).weak_quorum
+        deliver_votes(cluster.shard_replicas(1)[:weak], claimed_shard=2)
+        assert committee.auth_rejections == 0
+        record = committee.ahl_record(digest)
+        assert record is None or record.vote_tally.count(2) == 0
+        # The same votes from shard 2 itself do cross the bucket.
+        deliver_votes(cluster.shard_replicas(2)[:weak], claimed_shard=2)
+        assert committee.ahl_record(digest).vote_tally.reached(2)
+
+    def test_committee_decision_counts_only_committee_senders(self):
+        from repro.baselines.ahl.messages import CommitteeVote, Decide2PC
+
+        cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
+        txn = _cross_txn(cluster, (1, 2), "ahl-outsider")
+        digest = batch_digest((ClientRequest(sender="client-0", transaction=txn),))
+        committee, involved = cluster.primary_of(0), cluster.primary_of(1)
+        outsiders = cluster.shard_replicas(2)
+        for sender in outsiders:
+            vote = CommitteeVote(sender=sender.replica_id, batch_digest=digest, commit=True)
+            sender._authenticate_cross_shard_broadcast(vote, (0,))
+            committee.deliver(vote)
+        assert committee.ahl_record(digest) is None
+        involved._record(digest)
+        for sender in outsiders:
+            decision = Decide2PC(sender=sender.replica_id, batch_digest=digest, commit=True)
+            sender._authenticate_cross_shard_broadcast(decision, (1,))
+            involved.deliver(decision)
+        assert involved.ahl_record(digest).decide_tally.count(digest) == 0
+        assert committee.auth_rejections == involved.auth_rejections == 0
+
     def test_multiple_cross_shard_transactions(self):
         cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
         for i in range(4):

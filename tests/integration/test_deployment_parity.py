@@ -73,9 +73,9 @@ class TestBackendRegistry:
         with pytest.raises(ConfigurationError, match=r"known: \['sim', 'socket'\]"):
             backend_by_name(name)
 
-    def test_sim_backend_ignores_socket_only_knobs(self):
-        backend = backend_by_name("sim", seed=1, listen=("127.0.0.1", 0), wire_loopback=False)
-        assert isinstance(backend, SimBackend)
+    def test_sim_backend_rejects_socket_only_knobs(self):
+        with pytest.raises(TypeError, match="listen"):
+            backend_by_name("sim", seed=1, listen=("127.0.0.1", 0))
 
     def test_socket_backend_rejects_drain(self):
         backend = SocketBackend()

@@ -2,7 +2,8 @@
 
 One fault-free transaction touching all ``s`` shards of ``n`` replicas each,
 at batch size 1, sends a number of messages of each type that is a closed
-form in ``s`` and ``n``.  These laws are the paper's communication-complexity
+form in ``s`` and ``n``; one touching a single shard runs plain PBFT in that
+shard alone, whatever the protocol and ``s``.  These laws are the paper's communication-complexity
 argument made exact (linear inter-shard traffic for RingBFT against
 all-to-all for AHL and Sharper), so a change that alters what a protocol
 sends has to change this file and say why.
@@ -21,15 +22,19 @@ from tests.conftest import build_cluster
 GRID = [(s, n) for s in (2, 3) for n in (4, 7, 13)]
 
 
-def _counts_for_one_all_shard_transaction(replica_class, s: int, n: int) -> dict[str, int]:
+def _counts_for_one_transaction(replica_class, s: int, n: int, shards) -> dict[str, int]:
     cluster = build_cluster(num_shards=s, replicas=n, replica_class=replica_class)
     builder = TransactionBuilder(f"law-{s}x{n}", "client-0")
-    for shard in range(s):
+    for shard in shards:
         builder.read_modify_write(shard, cluster.table.local_record(shard, 2), f"v@{shard}")
     cluster.submit(builder.build())
     assert cluster.run_until_clients_done(timeout=120.0)
     assert all(cluster.ledgers_consistent(shard) for shard in range(s))
     return cluster.message_counts()
+
+
+def _counts_for_one_all_shard_transaction(replica_class, s: int, n: int) -> dict[str, int]:
+    return _counts_for_one_transaction(replica_class, s, n, range(s))
 
 
 @pytest.mark.parametrize("s,n", GRID)
@@ -70,5 +75,16 @@ def test_sharper_law(s, n):
         "CrossPropose": s * n - 1,
         "CrossPrepare": s * n * (s * n - 1),
         "CrossCommit": s * n * (s * n - 1),
+        "ClientResponse": n,
+    }
+
+
+@pytest.mark.parametrize("replica_class", [RingBftReplica, AhlReplica, SharperReplica])
+@pytest.mark.parametrize("s,n", GRID)
+def test_single_shard_law(replica_class, s, n):
+    assert _counts_for_one_transaction(replica_class, s, n, [s - 1]) == {
+        "PrePrepare": n - 1,
+        "Prepare": n * (n - 1),
+        "Commit": n * (n - 1),
         "ClientResponse": n,
     }

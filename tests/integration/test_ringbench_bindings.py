@@ -28,7 +28,7 @@ SOCKET_SPANS = (
     "netem.decide",
     "consensus.client.submit",
 )
-SIM_SPANS = ("sim.kernel.step", "sim.network.multicast")
+SIM_SPANS = ("sim.kernel.step", "sim.network.send", "sim.network.multicast")
 
 
 @pytest.fixture(scope="module")

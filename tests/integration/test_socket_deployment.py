@@ -50,7 +50,7 @@ def _mixed_workload(num_shards=2):
 
 class TestSocketBackendRegistry:
     def test_backend_by_name_builds_socket_backend(self):
-        backend = backend_by_name("socket", seed=1, latency=None)
+        backend = backend_by_name("socket", seed=1)
         try:
             assert isinstance(backend, SocketBackend)
             host, port = backend.listen_endpoint
@@ -67,7 +67,7 @@ class TestSocketBackendRegistry:
 
 
 class TestSingleProcessSocketDeployment:
-    """wire_loopback: every message crosses a real TCP socket in one process."""
+    """Every message crosses a real TCP socket, even within one process."""
 
     def test_mixed_workload_over_tcp_loopback(self):
         deployment = Deployment.build(

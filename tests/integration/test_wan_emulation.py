@@ -138,22 +138,6 @@ class TestSocketHonoursDelayMatrix:
         finally:
             backend.close()
 
-    def test_delayed_local_deliveries_are_suppressed_once_closing(self):
-        """The zero-copy local path honours the same teardown rule as the
-        wire path: a held delivery must not reach a node mid-dismantle."""
-        backend = SocketBackend(netem=NetemPolicy(), wire_loopback=False, seed=3)
-        try:
-            transport = backend.transport
-            _Probe("a", "oregon", transport)
-            b = _Probe("b", "london", transport)
-            transport._closing = True
-            transport.send("a", "b", Checkpoint(sender="a", sequence=0, state_digest=b"x"))
-            backend.run_for(0.2)
-            assert b.arrivals == {}
-            assert transport.stats.delivered == 0
-        finally:
-            backend.close()
-
 
 class TestSimScheduleDeterminism:
     def _run_once(self, seed=2022):

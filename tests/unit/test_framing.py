@@ -290,33 +290,6 @@ class TestTransportFrameLimit:
             loop.close()
 
 
-class TestTransportFaultInjection:
-    def test_conditions_suppress_sends_like_the_sim_network(self):
-        """Injected faults are honoured (not silently ignored) on sockets."""
-        import asyncio
-
-        from repro.net.transport import SocketTransport
-        from repro.rt.transport import RealTimeScheduler
-
-        loop = asyncio.new_event_loop()
-        try:
-            scheduler = RealTimeScheduler(loop, seed=1)
-            transport = SocketTransport(
-                scheduler, loop, address_map={"peer": ("127.0.0.1", 1)}
-            )
-            transport.conditions.block_link("me", "peer")
-            transport.send("me", "peer", _message())
-            transport.multicast("me", ["peer"], _message())
-            assert transport.stats.faults_injected == 2
-            assert transport.stats.bytes_sent == 0
-            transport.conditions.unblock_link("me", "peer")
-            transport.conditions.drop_probability = 1.0
-            transport.send("me", "peer", _message())
-            assert transport.stats.faults_injected == 3
-        finally:
-            loop.close()
-
-
 class TestTransportDeliveryErrors:
     def test_handler_exception_is_counted_not_fatal(self, capsys):
         """A node handler that raises must not kill the reader silently."""

@@ -52,11 +52,11 @@ class TestGeoProfiles:
         assert netem_policy_for(None) is None
         assert netem_policy_for("wan5").profile == "wan5"
 
-    def test_backends_reject_latency_alongside_netem(self):
+    def test_netem_is_the_only_policy_spelling(self):
         from repro.engine import backend_by_name
 
-        with pytest.raises(ConfigurationError, match="not both"):
-            backend_by_name("sim", latency=LatencyModel(), netem=NetemPolicy())
+        with pytest.raises(TypeError, match="latency"):
+            backend_by_name("sim", latency=LatencyModel())
 
 
 class TestNetemPolicy:
