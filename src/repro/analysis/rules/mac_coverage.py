@@ -7,8 +7,8 @@ field.  This rule makes the closed-world assumption explicit: every class
 deriving from :class:`repro.common.messages.Message` must either
 
 * appear in some ``_MAC_REQUIRED_TYPES`` tuple (mandatory pairwise MACs), or
-* be listed in :data:`SIGNED_OR_CLIENT_TYPES` with the reason it is exempt:
-  another mechanism (client signatures), or a stated, tracked gap.
+* be listed in :data:`SIGNED_OR_CLIENT_TYPES` with the reason it is exempt,
+  which today is a stated, tracked gap for both client-facing types.
 
 Adding a new Message subclass without deciding its authentication story is a
 build failure, not a silent gap.
@@ -27,9 +27,11 @@ from repro.analysis.rules._classgraph import build_class_graph
 #: the reason.  Extend this table deliberately -- every entry is an audited
 #: trust decision, not a convenience.
 SIGNED_OR_CLIENT_TYPES: dict[str, str] = {
-    # Integrity and origin come from the client's signature over the
-    # transaction; replicas verify it at admission.
-    "ClientRequest": "client-signed at admission",
+    # Tracked gap (ROADMAP item 14): the client signs every request, but no
+    # replica verifies that signature -- SignatureScheme.verify runs only
+    # inside verify_certificate -- so a request's claimed origin is taken on
+    # trust.  What the shard orders is still bound by the batch digest.
+    "ClientRequest": "client-signed, signature not verified (ROADMAP 14)",
     # Client-directed traffic, not yet authenticated (ROADMAP item 1b): the
     # client completes on f+1 distinct self-declared senders without comparing
     # results or verifying a MAC, and takes a shard's view from the (f+1)-th

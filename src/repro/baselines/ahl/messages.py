@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.codec import register_wire_type
-
-from repro.common.crypto import Signature
 from repro.common.messages import ClientRequest, Message
 
 
@@ -29,6 +27,8 @@ class Prepare2PC(Message):
     opposite network orders lock in opposite orders and 2PC deadlocks.
     """
 
+    _unbound = ("requests",)
+
     requests: tuple[ClientRequest, ...]
     batch_digest: bytes
     global_sequence: int
@@ -36,19 +36,6 @@ class Prepare2PC(Message):
 
     def wire_size(self) -> int:
         return 5408  # carries the full batch, like a PrePrepare
-
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "gseq": self.global_sequence,
-            # MAC-bound so a relay cannot relabel an honest sender's claimed
-            # order; receivers additionally require a weak quorum of senders
-            # agreeing on the index before adopting it (a Byzantine sender
-            # signs whatever it wants).
-            "sseq": self.shard_sequences,
-        }
 
 
 @register_wire_type
@@ -59,19 +46,9 @@ class Vote2PC(Message):
     batch_digest: bytes
     shard: int
     commit: bool
-    signature: Signature | None = None
 
     def wire_size(self) -> int:
         return 269
-
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "shard": self.shard,
-            "commit": self.commit,
-        }
 
 
 @register_wire_type
@@ -85,14 +62,6 @@ class CommitteeVote(Message):
     def wire_size(self) -> int:
         return 216
 
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "commit": self.commit,
-        }
-
 
 @register_wire_type
 @dataclass(frozen=True)
@@ -105,14 +74,6 @@ class CommitteeDecision(Message):
     def wire_size(self) -> int:
         return 269
 
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "commit": self.commit,
-        }
-
 
 @register_wire_type
 @dataclass(frozen=True)
@@ -121,15 +82,6 @@ class Decide2PC(Message):
 
     batch_digest: bytes
     commit: bool
-    signature: Signature | None = None
 
     def wire_size(self) -> int:
         return 269
-
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "commit": self.commit,
-        }

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.codec import register_wire_type
-
 from repro.common.messages import ClientRequest, Message
 
 
@@ -21,20 +20,14 @@ from repro.common.messages import ClientRequest, Message
 class CrossPropose(Message):
     """Initiator primary -> all replicas of all involved shards: global proposal."""
 
+    _unbound = ("requests",)
+
     requests: tuple[ClientRequest, ...]
     batch_digest: bytes
     global_sequence: int
 
     def wire_size(self) -> int:
         return 5408
-
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "gseq": self.global_sequence,
-        }
 
 
 @register_wire_type
@@ -48,14 +41,6 @@ class CrossPrepare(Message):
     def wire_size(self) -> int:
         return 216
 
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "shard": self.shard,
-        }
-
 
 @register_wire_type
 @dataclass(frozen=True)
@@ -67,11 +52,3 @@ class CrossCommit(Message):
 
     def wire_size(self) -> int:
         return 269
-
-    def _payload_fields(self) -> dict:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "shard": self.shard,
-        }

@@ -323,21 +323,20 @@ def compile_fixed_dict(
 ) -> Callable[..., bytes]:
     """Compile a fixed-layout encoder for dicts with a known key set.
 
-    The hot vote payloads (Prepare/Commit/Checkpoint) are tiny dicts whose
-    keys -- and some values -- never change; paying the generic codec walker
-    (dict construction, key sorting, per-value dispatch) for every fresh vote
-    is ~20% of the optimized macro profile.  This precompiles everything
-    static into constant byte segments at import time and leaves only the
+    Every message payload is such a dict (its type name, its sender, and its
+    bound fields), and so are transaction envelopes; paying the generic
+    walker (dict construction, key sorting, per-value dispatch) for every
+    fresh message would dominate the encode profile.  This precompiles
+    everything static into constant byte segments once and leaves only the
     dynamic values to encode per call.
 
     Returns ``encode(*values)`` taking the dynamic values *in the order of
     ``dynamic_keys``* and producing bytes **identical** to
     ``encode_canonical({**static, **dict(zip(dynamic_keys, values))})`` --
-    the fast path never changes the wire format, so digests, MACs, and
-    signatures interoperate with generically-encoded peers (enforced by the
-    vote-codec equivalence tests).  Dynamic values of type ``str``/``int``/
-    ``bytes`` take the inlined fast path; anything else falls back to the
-    generic (still injective) walker.
+    the fast path never changes the wire format (enforced by the payload
+    binding tests).  Dynamic values of type ``str``/``int``/``bytes`` take
+    the inlined fast path; anything else falls back to the generic (still
+    injective) walker.
 
     Keys listed in ``raw_keys`` are *splice slots*: the value supplied for
     such a key must already be canonical codec bytes (e.g. a nested
@@ -752,7 +751,9 @@ STATS = CodecStats()
 # Frozen dataclasses still own a plain ``__dict__``; the memo slots below are
 # written through ``object.__setattr__`` and are invisible to the generated
 # ``__eq__``/``__hash__`` and to ``dataclasses.fields`` (so the canonical
-# encoding of an object never includes its own caches).
+# encoding of an object never includes its own caches).  The benchmark's
+# tracer wraps all three memo functions by name as ``common.codec.memo``, so
+# renaming or removing one breaks the traced run.
 
 
 def memoized_payload(obj: Any, build_fields: Callable[[], Any]) -> bytes:

@@ -6,19 +6,25 @@ message knows its *wire size* in bytes; the per-type sizes come straight from
 Section 8 ("The sizes of messages communicated during RingBFT consensus
 are ...") and feed the analytical performance model.
 
-Canonical byte representations (for MACs, signatures, digests) go through the
-binary codec in :mod:`repro.common.codec`: payload fields carry raw values
-(bytes digests, int shard keys) and the codec's type-tagged encoding keeps
-them injective.  ``payload_bytes``/``digest`` are memoised on the frozen
-message objects, so each message is encoded and hashed at most once per
-process no matter how many times it is sent, received, or retransmitted;
-:func:`requests_digest` does the same for the batch a message carries.
+One rule defines the bytes a MAC covers for every message type:
+:meth:`Message.payload_bytes` encodes ``{"type": <class name>, "sender":
+str(sender), <field>: <value>, ...}`` over every dataclass field the class
+does not list in ``_unbound``, through the binary codec in
+:mod:`repro.common.codec` (type-tagged, so injective).  A field may be left
+unbound only when something else binds it: a carried batch through the
+message's ``batch_digest`` (every receiver re-checks it with
+:func:`requests_digest`), or a signature/certificate through its own
+signatures.  The payload is memoised on the frozen message object, so each
+message is encoded at most once per process no matter how many times it is
+sent, received, or retransmitted; :func:`requests_digest` does the same for
+the batch a message carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Callable, ClassVar
 
 from repro.common import codec
 from repro.common.codec import register_wire_type
@@ -47,6 +53,34 @@ MESSAGE_SIZES: dict[str, int] = {
 }
 
 
+_PayloadPlan = tuple[Callable[..., bytes], Callable[[Any], tuple[Any, ...]]]
+_PAYLOAD_PLANS: dict[type, _PayloadPlan] = {}
+
+
+def _payload_plan(cls: type[Message]) -> _PayloadPlan:
+    """The compiled payload layout of a message class and the getter of its
+    bound field values, in the layout's order after the sender.
+
+    Built on first use rather than in ``__init_subclass__``, which runs before
+    ``@dataclass`` has collected the subclass's fields.
+    """
+    plan = _PAYLOAD_PLANS.get(cls)
+    if plan is None:
+        names = tuple(
+            f.name for f in fields(cls) if f.name != "sender" and f.name not in cls._unbound
+        )
+        get = attrgetter(*names)
+        # attrgetter returns a lone value bare; the layout call needs a tuple.
+        bound_values: Callable[[Any], tuple[Any, ...]] = (
+            get if len(names) > 1 else lambda message: (get(message),)
+        )
+        _PAYLOAD_PLANS[cls] = plan = (
+            codec.compile_fixed_dict({"type": cls.__name__}, ("sender", *names)),
+            bound_values,
+        )
+    return plan
+
+
 @dataclass(frozen=True)
 class Message:
     """Base class for every protocol message.
@@ -57,6 +91,10 @@ class Message:
 
     sender: Any
 
+    #: Fields the MAC does not cover because something else binds them (see
+    #: the module docstring).  Every other field is part of the payload.
+    _unbound: ClassVar[tuple[str, ...]] = ()
+
     @property
     def type_name(self) -> str:
         return type(self).__name__
@@ -66,19 +104,20 @@ class Message:
         return MESSAGE_SIZES.get(self.type_name, 512)
 
     def payload_bytes(self) -> bytes:
-        """Canonical byte representation used for MACs/signatures.
+        """Canonical byte representation used for MACs.
 
-        Encoded with the injective binary codec and memoised on the frozen
-        instance: repeated sends/receptions of the same object reuse the
-        cached bytes instead of re-serialising.
+        Encoded once per frozen instance through the class's compiled layout;
+        a broadcast message is re-checked once per receiver, so a memo hit
+        stays a single ``__dict__`` lookup.
         """
-        return codec.memoized_payload(self, self._payload_fields)
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {"type": self.type_name, "sender": str(self.sender)}
-
-    def digest(self) -> bytes:
-        return codec.memoized_digest(self, self._payload_fields)
+        cached = self.__dict__.get("_payload_memo")
+        if cached is not None:
+            codec.STATS.payload_hits += 1
+            return cached
+        layout, bound_values = _payload_plan(type(self))
+        return codec.memoized_packed_payload(
+            self, layout, (str(self.sender),) + bound_values(self)
+        )
 
     # ------------------------------------------------------------------
     # broadcast authentication side-channel
@@ -123,10 +162,10 @@ class Message:
 # ---------------------------------------------------------------------------
 
 
-#: Packed layouts for the rich envelopes: the ``txn`` slot splices the
+#: ClientRequest keeps its own layout: the ``txn`` slot splices the
 #: transaction's memoised canonical bytes verbatim (the codec is
 #: compositional), so encoding a fresh ClientRequest costs one layout
-#: assembly instead of re-walking the whole nested transaction dict.
+#: assembly instead of re-walking the whole nested transaction.
 _CLIENT_REQUEST_LAYOUT = codec.compile_fixed_dict(
     {"type": "ClientRequest"}, ("sender", "txn"), raw_keys=("txn",)
 )
@@ -140,14 +179,15 @@ class ClientRequest(Message):
     transaction: Transaction
     signature: Signature | None = None
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "txn": self.transaction.to_wire(),
-        }
-
     def payload_bytes(self) -> bytes:
+        """The bytes the client signs and replicas MAC: sender and transaction.
+
+        Overrides the generic rule on purpose.  The generic layout would
+        encode the ``Transaction`` object frame, which the transaction
+        memoises as one more copy of itself for as long as it lives; splicing
+        ``transaction.payload_bytes()`` reuses the memo its digest already
+        needs.  The signature is excluded because it signs these bytes.
+        """
         cached = self.__dict__.get("_payload_memo")
         if cached is not None:
             codec.STATS.payload_hits += 1
@@ -174,17 +214,6 @@ class ClientResponse(Message):
     shard: int
     view: int
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "txn_id": self.txn_id,
-            "sequence": self.sequence,
-            "result": self.result,
-            "shard": self.shard,
-            "view": self.view,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Intra-shard PBFT phases
@@ -196,66 +225,12 @@ class ClientResponse(Message):
 class PrePrepare(Message):
     """Primary's proposal ordering a batch of requests at sequence ``sequence``."""
 
+    _unbound = ("requests",)
+
     view: int
     sequence: int
     batch_digest: bytes
     requests: tuple[ClientRequest, ...]
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.batch_digest,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Fixed-layout fast paths for the small vote types
-# ---------------------------------------------------------------------------
-#
-# Prepare/Commit/Checkpoint are tiny, fixed-shape, and minted fresh on every
-# consensus round, so their first (and only, thanks to the memo) encode is
-# pure overhead in the generic codec walker.  Each layout below is compiled
-# once at import time and produces bytes *identical* to encode_canonical of
-# the corresponding ``_payload_fields`` dict -- the equivalence is pinned by
-# tests, so MACs/signatures/digests interoperate with generic encoders.
-
-_PREPARE_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Prepare"}, ("sender", "view", "sequence", "digest")
-)
-_COMMIT_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Commit"}, ("sender", "view", "sequence", "digest")
-)
-_CHECKPOINT_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Checkpoint"}, ("sender", "sequence", "digest")
-)
-_COMMIT_VOTE_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Commit"}, ("view", "sequence", "digest")
-)
-
-
-def _packed_payload_bytes(
-    layout: Callable[..., bytes], values_of: Callable[[Any], tuple[Any, ...]]
-) -> Callable[[Any], bytes]:
-    """Build a ``payload_bytes`` method over a compiled ``layout``.
-
-    One definition of the hit-path protocol for all packed vote types: a
-    broadcast vote is re-encoded once per receiver verification, so a memo
-    hit must stay a bare dict lookup -- no ``str(sender)``/tuple work just to
-    discover the cached bytes.  ``values_of`` extracts the dynamic values in
-    the layout's declared order.
-    """
-
-    def payload_bytes(self) -> bytes:
-        cached = self.__dict__.get("_payload_memo")
-        if cached is not None:
-            codec.STATS.payload_hits += 1
-            return cached
-        return codec.memoized_packed_payload(self, layout, values_of(self))
-
-    return payload_bytes
 
 
 @register_wire_type
@@ -267,30 +242,12 @@ class Prepare(Message):
     sequence: int
     batch_digest: bytes
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.batch_digest,
-        }
 
-    payload_bytes = _packed_payload_bytes(
-        _PREPARE_LAYOUT,
-        lambda self: (str(self.sender), self.view, self.sequence, self.batch_digest),
-    )
-
-
-def _commit_vote_fields(view: int, sequence: int, batch_digest: bytes) -> dict[str, Any]:
-    """The fields replicas sign in a Commit vote (sender excluded on purpose:
-    ``nf`` distinct signatures over the *same* bytes form a certificate)."""
-    return {
-        "type": "Commit",
-        "view": view,
-        "sequence": sequence,
-        "digest": batch_digest,
-    }
+#: What replicas sign in a Commit vote.  The sender is excluded on purpose:
+#: ``nf`` distinct signatures over the *same* bytes form one certificate.
+_COMMIT_VOTE_LAYOUT = codec.compile_fixed_dict(
+    {"type": "Commit"}, ("view", "sequence", "digest")
+)
 
 
 def _memoized_signed_payload(obj: Any, view: int, sequence: int, batch_digest: bytes) -> bytes:
@@ -307,27 +264,15 @@ class Commit(Message):
     """Commit vote; for cross-shard batches it is digitally signed so the
     signatures can later prove replication to the next shard."""
 
+    _unbound = ("signature",)
+
     view: int
     sequence: int
     batch_digest: bytes
     signature: Signature | None = None
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.batch_digest,
-        }
-
-    payload_bytes = _packed_payload_bytes(
-        _COMMIT_LAYOUT,
-        lambda self: (str(self.sender), self.view, self.sequence, self.batch_digest),
-    )
-
     def signed_payload(self) -> bytes:
-        """The byte string replicas sign: excludes the signature itself."""
+        """The byte string replicas sign: excludes the sender and the signature."""
         return _memoized_signed_payload(self, self.view, self.sequence, self.batch_digest)
 
 
@@ -359,11 +304,6 @@ class CommitCertificate:
 # ---------------------------------------------------------------------------
 
 
-_FORWARD_LAYOUT = codec.compile_fixed_dict(
-    {"type": "Forward"}, ("sender", "digest", "origin_shard", "reads", "txns")
-)
-
-
 @register_wire_type
 @dataclass(frozen=True)
 class Forward(Message):
@@ -380,34 +320,13 @@ class Forward(Message):
     transactions.
     """
 
+    _unbound = ("requests", "certificate")
+
     requests: tuple[ClientRequest, ...]
     certificate: CommitCertificate
     batch_digest: bytes
     origin_shard: int
     read_sets: dict[int, dict[str, str]] = field(default_factory=dict)
-    signature: Signature | None = None
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "txns": [req.transaction.txn_id for req in self.requests],
-            "digest": self.batch_digest,
-            "origin_shard": self.origin_shard,
-            "reads": self.read_sets,
-        }
-
-    def payload_bytes(self) -> bytes:
-        cached = self.__dict__.get("_payload_memo")
-        if cached is not None:
-            codec.STATS.payload_hits += 1
-            return cached
-        txns = [req.transaction.txn_id for req in self.requests]
-        return codec.memoized_packed_payload(
-            self,
-            _FORWARD_LAYOUT,
-            (str(self.sender), self.batch_digest, self.origin_shard, self.read_sets, txns),
-        )
 
 
 @register_wire_type
@@ -425,17 +344,6 @@ class Execute(Message):
     txn_ids: tuple[str, ...]
     write_sets: dict[int, dict[str, str]]
     origin_shard: int
-    signature: Signature | None = None
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "txn_ids": list(self.txn_ids),
-            "digest": self.batch_digest,
-            "origin_shard": self.origin_shard,
-            "writes": self.write_sets,
-        }
 
 
 @register_wire_type
@@ -445,15 +353,6 @@ class RemoteView(Message):
 
     batch_digest: bytes
     target_shard: int
-    signature: Signature | None = None
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "digest": self.batch_digest,
-            "target_shard": self.target_shard,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +367,6 @@ class Checkpoint(Message):
 
     sequence: int
     state_digest: bytes
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "sequence": self.sequence,
-            "digest": self.state_digest,
-        }
-
-    payload_bytes = _packed_payload_bytes(
-        _CHECKPOINT_LAYOUT,
-        lambda self: (str(self.sender), self.sequence, self.state_digest),
-    )
 
 
 @register_wire_type
@@ -508,19 +394,6 @@ class ViewChange(Message):
     last_stable_sequence: int
     prepared: tuple[PreparedProof, ...] = ()
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "new_view": self.new_view,
-            "stable": self.last_stable_sequence,
-            # Bind the full prepared claims, not just the sequence numbers: a
-            # tag over a weaker payload could be replayed onto a forged
-            # variant carrying different digests.  The batch contents are
-            # bound transitively through batch_digest (collision resistance).
-            "prepared": [[p.sequence, p.view, p.batch_digest] for p in self.prepared],
-        }
-
 
 @register_wire_type
 @dataclass(frozen=True)
@@ -537,20 +410,6 @@ class NewView(Message):
     view_change_senders: tuple[str, ...]
     reproposals: tuple[PrePrepare, ...] = ()
     abandoned: tuple[int, ...] = ()
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "view": self.view,
-            "vc": list(self.view_change_senders),
-            "abandoned": list(self.abandoned),
-            # Bind the re-proposals: without this, a valid tag could be
-            # replayed onto a variant of the NewView carrying attacker-chosen
-            # batches.  Each re-proposal's requests are bound through its
-            # batch_digest, which _handle_pre_prepare re-checks.
-            "reproposals": [[p.sequence, p.view, p.batch_digest] for p in self.reproposals],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +433,16 @@ class StateTransferRequest(Message):
     def wire_size(self) -> int:
         return 128
 
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "last_executed": self.last_executed,
-        }
-
 
 @register_wire_type
 @dataclass(frozen=True)
 class StateTransferReply(Message):
     """A peer's state snapshot: store contents, ledger blocks, execution point.
 
-    The requester installs a snapshot only after ``f + 1`` replies agree on
-    the state digest, so a single Byzantine peer cannot poison its state.
+    The requester recomputes ``state_digest`` over everything it would
+    install (snapshot, execution point, executed ids, blocks), drops a reply
+    whose claim disagrees, and installs only after ``f + 1`` replies agree,
+    so a single Byzantine peer cannot poison its state.
     """
 
     last_executed: int
@@ -600,14 +454,6 @@ class StateTransferReply(Message):
     def wire_size(self) -> int:
         # Dominated by the snapshot; approximate with one KV pair ~ 64 bytes.
         return 512 + 64 * len(self.store_snapshot)
-
-    def _payload_fields(self) -> dict[str, Any]:
-        return {
-            "type": self.type_name,
-            "sender": str(self.sender),
-            "last_executed": self.last_executed,
-            "digest": self.state_digest,
-        }
 
 
 # ---------------------------------------------------------------------------

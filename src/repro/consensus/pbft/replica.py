@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
+from repro.common import codec
 from repro.common.batching import Batcher
 from repro.common.crypto import KeyStore, MacAuthenticator, SignatureScheme
 from repro.common.crypto import sha256
@@ -52,7 +53,7 @@ from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.executor import ExecutionEngine
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.ledger import Ledger
+from repro.storage.ledger import Block, Ledger
 from repro.storage.locks import LockManager
 from repro.txn.transaction import Transaction
 
@@ -955,21 +956,35 @@ class PbftReplica(Node):
         self._state_transfer_in_flight = False
         self._state_replies = {}
 
-    def _state_snapshot_digest(self, snapshot: dict[str, str], last_executed: int) -> bytes:
-        canonical = "|".join(f"{k}={v}" for k, v in sorted(snapshot.items()))
-        return sha256(canonical.encode() + last_executed.to_bytes(8, "big"))
+    def _state_snapshot_digest(
+        self,
+        snapshot: dict[str, str],
+        last_executed: int,
+        executed_txn_ids: Iterable[str],
+        blocks: Sequence[Block] = (),
+    ) -> bytes:
+        """Digest over everything :meth:`_install_state` adopts from a reply.
+
+        The executed ids are hashed as a set: two replicas in the same state
+        may have finished independent cross-shard batches in different orders.
+        """
+        state = (last_executed, snapshot, frozenset(executed_txn_ids), tuple(blocks))
+        return sha256(codec.encode_canonical(state))
 
     def _handle_state_request(self, message: StateTransferRequest) -> None:
         if message.last_executed >= self.last_executed:
             return  # the requester is not behind us; nothing useful to send
         snapshot = self.store.items()
+        executed = self.executor.executed_txn_ids()
+        blocks = self.ledger.blocks()[1:]
+        digest = self._state_snapshot_digest(snapshot, self.last_executed, executed, blocks)
         reply = StateTransferReply(
             sender=self.replica_id,
             last_executed=self.last_executed,
-            state_digest=self._state_snapshot_digest(snapshot, self.last_executed),
+            state_digest=digest,
             store_snapshot=snapshot,
-            executed_txn_ids=self.executor.executed_txn_ids(),
-            blocks=self.ledger.blocks()[1:],
+            executed_txn_ids=executed,
+            blocks=blocks,
         )
         self._authenticate_for_audience(reply, [message.sender])
         self.send(message.sender, reply)
@@ -979,7 +994,12 @@ class PbftReplica(Node):
             return
         if message.last_executed <= self.last_executed:
             return
-        replies = self._state_replies.setdefault(message.state_digest, {})
+        digest = self._state_snapshot_digest(
+            message.store_snapshot, message.last_executed, message.executed_txn_ids, message.blocks
+        )
+        if digest != message.state_digest:
+            return  # the claimed digest does not match what would be installed
+        replies = self._state_replies.setdefault(digest, {})
         replies[message.sender] = message
         # repro: allow[quorum-tally] keeps the replies: one of them is installed
         if len(replies) < self.quorum.weak_quorum:

@@ -66,7 +66,9 @@ class Operation:
 # Fixed layouts for the envelope hot path (see compile_fixed_dict): keys are
 # emitted in canonical (sorted) order, and the encoders accept dynamic values
 # in the declared order below.  ``deps``/``operations`` are splice slots fed
-# pre-encoded canonical frames.
+# pre-encoded canonical frames.  These bytes are not a message payload and do
+# not follow its rule: transaction digests are the ledgers' Merkle leaves, so
+# changing them would change every chain.
 _OP_LAYOUT = codec.compile_fixed_dict(
     {}, ("deps", "key", "op", "shard", "value"), raw_keys=("deps",)
 )

@@ -42,6 +42,7 @@ def build_cluster(
     replica_class=RingBftReplica,
     num_clients: int = 1,
     seed: int = 2022,
+    batch_size: int = 1,
     **workload_overrides,
 ) -> Deployment:
     config = small_system(num_shards, replicas, **workload_overrides)
@@ -49,7 +50,7 @@ def build_cluster(
         config, backend="sim",
         replica_class=replica_class,
         num_clients=num_clients,
-        batch_size=1,
+        batch_size=batch_size,
         seed=seed,
     )
 

@@ -3,7 +3,9 @@
 One fault-free transaction touching all ``s`` shards of ``n`` replicas each,
 at batch size 1, sends a number of messages of each type that is a closed
 form in ``s`` and ``n``; one touching a single shard runs plain PBFT in that
-shard alone, whatever the protocol and ``s``.  These laws are the paper's communication-complexity
+shard alone, whatever the protocol and ``s``.  A batch of ``b`` such
+transactions costs what one does, except that every transaction gets its
+own ``n`` client replies.  These laws are the paper's communication-complexity
 argument made exact (linear inter-shard traffic for RingBFT against
 all-to-all for AHL and Sharper), so a change that alters what a protocol
 sends has to change this file and say why.
@@ -22,12 +24,20 @@ from tests.conftest import build_cluster
 GRID = [(s, n) for s in (2, 3) for n in (4, 7, 13)]
 
 
-def _counts_for_one_transaction(replica_class, s: int, n: int, shards) -> dict[str, int]:
-    cluster = build_cluster(num_shards=s, replicas=n, replica_class=replica_class)
-    builder = TransactionBuilder(f"law-{s}x{n}", "client-0")
-    for shard in shards:
-        builder.read_modify_write(shard, cluster.table.local_record(shard, 2), f"v@{shard}")
-    cluster.submit(builder.build())
+def _counts_for_one_transaction(
+    replica_class, s: int, n: int, shards, batch: int = 1
+) -> dict[str, int]:
+    """Counts for ``batch`` transactions submitted together at batch size
+    ``batch``, each on its own records of ``shards``."""
+    cluster = build_cluster(
+        num_shards=s, replicas=n, replica_class=replica_class, batch_size=batch
+    )
+    for index in range(batch):
+        builder = TransactionBuilder(f"law-{s}x{n}-{index}", "client-0")
+        for shard in shards:
+            record = cluster.table.local_record(shard, 2 + index)
+            builder.read_modify_write(shard, record, f"v@{shard}")
+        cluster.submit(builder.build())
     assert cluster.run_until_clients_done(timeout=120.0)
     assert all(cluster.ledgers_consistent(shard) for shard in range(s))
     return cluster.message_counts()
@@ -88,3 +98,35 @@ def test_single_shard_law(replica_class, s, n):
         "Commit": n * (n - 1),
         "ClientResponse": n,
     }
+
+
+BATCH_GRID = [(s, n, b) for s, n in ((2, 4), (3, 7)) for b in (2, 4)]
+
+
+def _with_replies_per_transaction(law: dict[str, int], n: int, b: int) -> dict[str, int]:
+    return {**law, "ClientResponse": b * n}
+
+
+@pytest.mark.parametrize("s,n,b", BATCH_GRID)
+def test_ringbft_batch_law(s, n, b):
+    law = _counts_for_one_all_shard_transaction(RingBftReplica, s, n)
+    counts = _counts_for_one_transaction(RingBftReplica, s, n, range(s), batch=b)
+    assert counts == _with_replies_per_transaction(law, n, b)
+
+
+@pytest.mark.parametrize("s,n,b", BATCH_GRID)
+def test_ahl_batch_law(s, n, b):
+    law = _counts_for_one_all_shard_transaction(AhlReplica, s, n)
+    counts = _counts_for_one_transaction(AhlReplica, s, n, range(s), batch=b)
+    assert counts == _with_replies_per_transaction(law, n, b)
+
+
+# Sharper's cross-shard path has no batch law: at b = 2 its ledgers end
+# inconsistent and at b = 4 it runs one CrossPropose round per transaction
+# (ROADMAP item 2a).  Its single-shard path is plain PBFT and does batch.
+@pytest.mark.parametrize("replica_class", [RingBftReplica, AhlReplica, SharperReplica])
+@pytest.mark.parametrize("s,n,b", BATCH_GRID)
+def test_single_shard_batch_law(replica_class, s, n, b):
+    law = _counts_for_one_transaction(replica_class, s, n, [s - 1])
+    counts = _counts_for_one_transaction(replica_class, s, n, [s - 1], batch=b)
+    assert counts == _with_replies_per_transaction(law, n, b)

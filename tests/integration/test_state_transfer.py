@@ -131,7 +131,7 @@ class TestStateTransferSafety:
 
         victim._state_transfer_in_flight = True
         snapshot = {"user0": "adopted-value"}
-        digest = victim._state_snapshot_digest(snapshot, 7)
+        digest = victim._state_snapshot_digest(snapshot, 7, ("adopted-txn",))
         for index in (0, 1):
             reply = StateTransferReply(
                 sender=cluster.replica(0, index).replica_id,
@@ -145,3 +145,36 @@ class TestStateTransferSafety:
         assert victim.last_executed == 7
         assert victim.store.read("user0") == "adopted-value"
         assert victim.executor.already_executed("adopted-txn")
+
+    def test_reply_with_an_honest_digest_over_forged_state_is_dropped(self):
+        """A Byzantine peer copies an honest ``state_digest`` onto a forged
+        snapshot; the receiver recomputes the digest, so the forgery never
+        counts towards the honest replies' quorum nor gets installed."""
+        cluster = _cluster(checkpoint_interval=2)
+        victim = cluster.replica(0, 3)
+        from repro.common.messages import StateTransferReply
+
+        victim._state_transfer_in_flight = True
+        snapshot = {"user0": "honest-value"}
+        digest = victim._state_snapshot_digest(snapshot, 7, ("honest-txn",))
+
+        def reply(index, store_snapshot, executed_txn_ids):
+            return StateTransferReply(
+                sender=cluster.replica(0, index).replica_id,
+                last_executed=7,
+                state_digest=digest,
+                store_snapshot=store_snapshot,
+                executed_txn_ids=executed_txn_ids,
+            )
+
+        victim._handle_state_reply(reply(2, {"user0": "forged"}, ("forged-txn",)))
+        victim._handle_state_reply(reply(1, snapshot, ("honest-txn",)))
+        assert victim.state_transfers_completed == 0
+        assert victim.store.read("user0") != "forged"
+        assert not victim.executor.already_executed("forged-txn")
+
+        victim._handle_state_reply(reply(0, snapshot, ("honest-txn",)))
+        assert victim.state_transfers_completed == 1
+        assert victim.store.read("user0") == "honest-value"
+        assert victim.executor.already_executed("honest-txn")
+        assert not victim.executor.already_executed("forged-txn")

@@ -151,7 +151,6 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         batch_digest=digests,
         origin_shard=shard_ids,
         read_sets=rw_sets,
-        signature=maybe_signature,
     ),
     "Execute": st.builds(
         Execute,
@@ -160,14 +159,12 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         txn_ids=st.lists(short_text, min_size=1, max_size=3).map(tuple),
         write_sets=rw_sets,
         origin_shard=shard_ids,
-        signature=maybe_signature,
     ),
     "RemoteView": st.builds(
         RemoteView,
         sender=replica_ids,
         batch_digest=digests,
         target_shard=shard_ids,
-        signature=maybe_signature,
     ),
     "Checkpoint": st.builds(
         Checkpoint, sender=replica_ids, sequence=sequences, state_digest=digests
@@ -212,7 +209,6 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         batch_digest=digests,
         shard=shard_ids,
         commit=st.booleans(),
-        signature=maybe_signature,
     ),
     "CommitteeVote": st.builds(
         CommitteeVote, sender=replica_ids, batch_digest=digests, commit=st.booleans()
@@ -225,7 +221,6 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         sender=replica_ids,
         batch_digest=digests,
         commit=st.booleans(),
-        signature=maybe_signature,
     ),
     "CrossPropose": st.builds(
         CrossPropose,

@@ -426,16 +426,16 @@ class TestInternTable:
 class TestDigestInjectivityRegression:
     """Adversarial field values that collided under JSON canonicalization."""
 
-    def test_int_vs_str_write_set_keys_digest_differently(self):
+    def test_int_vs_str_write_set_keys_encode_differently(self):
         base = dict(sender=ReplicaId(1, 0), batch_digest=b"\x03" * 32, txn_ids=("t1",), origin_shard=1)
         int_keys = Execute(write_sets={0: {"k": "v"}}, **base)
         str_keys = Execute(write_sets={"0": {"k": "v"}}, **base)
-        assert int_keys.digest() != str_keys.digest()
+        assert int_keys.payload_bytes() != str_keys.payload_bytes()
 
-    def test_bytes_vs_stringified_bytes_digest_differently(self):
+    def test_bytes_vs_stringified_bytes_encode_differently(self):
         raw = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=b"\xab" * 32)
         impostor = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=(b"\xab" * 32).hex())
-        assert raw.digest() != impostor.digest()
+        assert raw.payload_bytes() != impostor.payload_bytes()
 
     def test_transaction_digest_distinguishes_value_types(self):
         a = Transaction("t", "c", (Operation(shard=0, key="k", op_type=OpType.WRITE, value="7"),))
@@ -449,9 +449,9 @@ class TestMemoisation:
         first = txn.payload_bytes()
         assert txn.payload_bytes() is first  # same object, not merely equal
 
-    def test_digest_hashed_once_per_object(self):
+    def test_message_payload_encoded_once_per_object(self):
         message = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=b"\x01" * 32)
-        assert message.digest() is message.digest()
+        assert message.payload_bytes() is message.payload_bytes()
 
     def test_stats_count_hits_and_misses(self):
         before = codec.STATS.snapshot()

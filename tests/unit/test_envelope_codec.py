@@ -1,23 +1,20 @@
-"""Packed envelope layouts: byte-identity with the generic codec walker.
+"""Packed transaction layouts: byte-identity with the generic codec walker.
 
-The rich envelopes (Transaction/Operation/ClientRequest/Forward) encode
-through compiled fixed layouts that splice memoised nested frames verbatim
-(``compile_fixed_dict`` raw_keys).  Exactly like the vote layouts, the fast
+Transaction and Operation encode through compiled fixed layouts that splice
+memoised nested frames verbatim (``compile_fixed_dict`` raw_keys).  The fast
 path must be invisible on the wire: every packed payload must equal
-``encode_canonical`` of the same field dict bit for bit, or digests, MACs,
-and signatures stop interoperating between fast-path and generic encoders.
+``encode_canonical`` of the same field dict bit for bit, or transaction
+digests -- and the ledger chains built on them -- stop agreeing between
+fast-path and generic encoders.
 
 These are the byte-identity tests the ``layout-identity-test`` analysis rule
-requires for ``_TXN_LAYOUT``/``_OP_LAYOUT``/``_CLIENT_REQUEST_LAYOUT``/
-``_FORWARD_LAYOUT``.
+requires for ``_TXN_LAYOUT``/``_OP_LAYOUT``; ``test_payload_binding.py``
+covers the message layouts.
 """
 
 import hashlib
 
 from repro.common import codec
-from repro.common.crypto import DIGEST_SIZE, Signature
-from repro.common.messages import ClientRequest, CommitCertificate, Forward
-from repro.common.types import ReplicaId
 from repro.txn.transaction import Operation, OpType, Transaction, TransactionBuilder
 
 
@@ -30,15 +27,6 @@ def _transaction(txn_id: str = "txn-1", *, complex_txn: bool = False) -> Transac
     if complex_txn:
         builder.write(2, "user400", "w", depends_on=((0, "user1"),))
     return builder.build()
-
-
-def _certificate(digest: bytes) -> CommitCertificate:
-    signatures = tuple(
-        Signature(signer=f"replica-{i}", value=bytes([i]) * DIGEST_SIZE) for i in range(3)
-    )
-    return CommitCertificate(
-        shard=0, view=0, sequence=3, batch_digest=digest, signatures=signatures
-    )
 
 
 class TestOperationIdentity:
@@ -99,44 +87,3 @@ class TestTransactionIdentity:
 
         monkeypatch.setattr(codec, "encode_canonical", generic_walker)
         assert txn.digest() == expected
-
-
-class TestClientRequestIdentity:
-    def test_client_request_matches_generic_encoding(self):
-        request = ClientRequest(sender="client-0", transaction=_transaction())
-        assert request.payload_bytes() == codec.encode_canonical(request._payload_fields())
-
-    def test_client_request_with_complex_transaction_matches(self):
-        request = ClientRequest(sender="client-äöü", transaction=_transaction(complex_txn=True))
-        assert request.payload_bytes() == codec.encode_canonical(request._payload_fields())
-
-    def test_packed_client_request_round_trips(self):
-        request = ClientRequest(sender="client-0", transaction=_transaction())
-        assert codec.decode_canonical(request.payload_bytes()) == request._payload_fields()
-
-
-class TestForwardIdentity:
-    def _forward(self, read_sets=None) -> Forward:
-        txn = _transaction()
-        request = ClientRequest(sender="client-0", transaction=txn)
-        digest = b"\x07" * DIGEST_SIZE
-        return Forward(
-            sender=ReplicaId(0, 1),
-            requests=(request,),
-            certificate=_certificate(digest),
-            batch_digest=digest,
-            origin_shard=0,
-            read_sets=read_sets or {},
-        )
-
-    def test_forward_matches_generic_encoding(self):
-        forward = self._forward()
-        assert forward.payload_bytes() == codec.encode_canonical(forward._payload_fields())
-
-    def test_forward_with_read_sets_matches_generic_encoding(self):
-        forward = self._forward(read_sets={0: {"user1": "a"}, 2: {"user400": "w"}})
-        assert forward.payload_bytes() == codec.encode_canonical(forward._payload_fields())
-
-    def test_packed_forward_round_trips(self):
-        forward = self._forward(read_sets={1: {"user200": "v"}})
-        assert codec.decode_canonical(forward.payload_bytes()) == forward._payload_fields()

@@ -57,10 +57,10 @@ class TestDigests:
         assert batch_digest([a, b]) != batch_digest([b, a])
         assert batch_digest([a]) != batch_digest([b])
 
-    def test_message_digest_distinguishes_views(self):
+    def test_message_payload_distinguishes_views(self):
         one = Prepare(sender=ReplicaId(0, 1), view=0, sequence=1, batch_digest=b"\x00" * 32)
         two = Prepare(sender=ReplicaId(0, 1), view=1, sequence=1, batch_digest=b"\x00" * 32)
-        assert one.digest() != two.digest()
+        assert one.payload_bytes() != two.payload_bytes()
 
     def test_commit_signed_payload_excludes_sender(self):
         digest = b"\x01" * 32
@@ -85,7 +85,7 @@ class TestCommitCertificate:
 
 
 class TestCrossShardMessages:
-    def test_forward_payload_mentions_all_transactions(self):
+    def test_forward_payload_binds_the_batch_through_its_digest(self):
         requests = (_request("t1", (0, 1)), _request("t2", (0, 1)))
         certificate = CommitCertificate(
             shard=0, view=0, sequence=1, batch_digest=batch_digest(requests), signatures=()
@@ -98,7 +98,8 @@ class TestCrossShardMessages:
             origin_shard=0,
         )
         payload = forward.payload_bytes()
-        assert b"t1" in payload and b"t2" in payload
+        assert batch_digest(requests) in payload
+        assert b"t1" not in payload and b"t2" not in payload
 
     def test_execute_payload_contains_write_sets(self):
         execute = Execute(

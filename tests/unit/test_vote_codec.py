@@ -1,22 +1,15 @@
-"""Fixed-layout vote encoders: byte-equivalence, injectivity, round trips.
+"""Compiled fixed layouts: injectivity of vote payloads and of the encoder.
 
-The struct-packed fast paths for Prepare/Commit/Checkpoint must be *invisible*
-on the wire: every payload they produce has to equal the generic codec's
-encoding of the same field dict bit for bit, or MACs and digests would stop
-interoperating between fast-path and generic encoders.
+Byte identity of every message payload with the generic walker is checked
+type by type in ``test_payload_binding.py``; these tests pin that the
+compiled encoder keeps the codec's type tags, so distinct votes never share
+bytes.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common import codec
-from repro.common.messages import (
-    Checkpoint,
-    Commit,
-    Prepare,
-    _commit_vote_fields,
-)
+from repro.common.messages import Commit, Prepare
 from repro.common.types import ReplicaId
 
 _SENDERS = (ReplicaId(0, 0), ReplicaId(7, 27), "client-0", "äöü ☃", "")
@@ -33,46 +26,7 @@ def _grid():
                     yield sender, view, sequence, digest
 
 
-class TestByteEquivalence:
-    def test_prepare_matches_generic_encoding(self):
-        for sender, view, sequence, digest in _grid():
-            message = Prepare(sender=sender, view=view, sequence=sequence, batch_digest=digest)
-            assert message.payload_bytes() == codec.encode_canonical(message._payload_fields())
-
-    def test_commit_matches_generic_encoding(self):
-        for sender, view, sequence, digest in _grid():
-            message = Commit(sender=sender, view=view, sequence=sequence, batch_digest=digest)
-            assert message.payload_bytes() == codec.encode_canonical(message._payload_fields())
-
-    def test_commit_signed_payload_matches_generic_encoding(self):
-        for _, view, sequence, digest in _grid():
-            message = Commit(sender=ReplicaId(0, 1), view=view, sequence=sequence,
-                             batch_digest=digest)
-            assert message.signed_payload() == codec.encode_canonical(
-                _commit_vote_fields(view, sequence, digest)
-            )
-
-    def test_checkpoint_matches_generic_encoding(self):
-        for sender, _, sequence, digest in _grid():
-            message = Checkpoint(sender=sender, sequence=sequence, state_digest=digest)
-            assert message.payload_bytes() == codec.encode_canonical(message._payload_fields())
-
-    def test_digest_agrees_between_fast_and_generic_first_call(self):
-        """Whichever of payload_bytes()/digest() runs first, bytes agree."""
-        a = Prepare(sender=ReplicaId(1, 2), view=3, sequence=4, batch_digest=b"\x01" * 32)
-        b = Prepare(sender=ReplicaId(1, 2), view=3, sequence=4, batch_digest=b"\x01" * 32)
-        a.payload_bytes()  # fast path first
-        b.digest()  # generic walk first (memoized_digest -> memoized_payload)
-        assert a.digest() == b.digest()
-        assert a.payload_bytes() == b.payload_bytes()
-
-
-class TestRoundTripAndInjectivity:
-    def test_packed_payloads_decode_to_the_field_dict(self):
-        for sender, view, sequence, digest in _grid():
-            message = Prepare(sender=sender, view=view, sequence=sequence, batch_digest=digest)
-            assert codec.decode_canonical(message.payload_bytes()) == message._payload_fields()
-
+class TestInjectivity:
     def test_distinct_votes_encode_distinctly(self):
         seen = {}
         for sender, view, sequence, digest in _grid():
@@ -108,20 +62,3 @@ class TestRoundTripAndInjectivity:
     def test_overlapping_static_and_dynamic_keys_rejected(self):
         with pytest.raises(codec.MalformedMessageError):
             codec.compile_fixed_dict({"x": 1}, ("x",))
-
-
-class TestHypothesisEquivalence:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        sender=st.text(max_size=30),
-        view=st.integers(),
-        sequence=st.integers(),
-        digest=st.binary(max_size=80),
-    )
-    def test_packed_prepare_equals_generic_for_arbitrary_fields(
-        self, sender, view, sequence, digest
-    ):
-        message = Prepare(sender=sender, view=view, sequence=sequence, batch_digest=digest)
-        expected = codec.encode_canonical(message._payload_fields())
-        assert message.payload_bytes() == expected
-        assert codec.decode_canonical(expected) == message._payload_fields()
