@@ -8,7 +8,10 @@ verification that a transaction belongs to a committed block.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from zlib import crc32
 
 from repro.common.crypto import sha256
 from repro.errors import LedgerError
@@ -101,6 +104,37 @@ def merkle_root(leaves: list[bytes] | tuple[bytes, ...]) -> bytes:
     return MerkleTree(leaves).root
 
 
+def bucket_digest(leaves: Iterable[bytes]) -> bytes:
+    """Digest of one bucket: its leaves in key order, ``|``-joined."""
+    return sha256(b"|".join(leaves))
+
+
+@dataclass(frozen=True)
+class LeafBuckets:
+    """A read-only keyed leaf set split into digest buckets, digested once.
+
+    ``leaves[b]`` maps every key of bucket ``b`` to its leaf bytes, in key
+    order; ``digests[b]`` is that bucket's :func:`bucket_digest`.  Many
+    :class:`BucketedDigest` instances can share one base: none of them can
+    write to it.
+    """
+
+    leaves: tuple[Mapping[str, bytes], ...]
+    digests: tuple[bytes, ...]
+
+    @classmethod
+    def of(cls, leaves: Mapping[str, bytes], num_buckets: int = 64) -> "LeafBuckets":
+        if num_buckets < 1:
+            raise LedgerError("BucketedDigest needs at least one bucket")
+        buckets: list[dict[str, bytes]] = [{} for _ in range(num_buckets)]
+        for key in sorted(leaves):
+            buckets[crc32(key.encode()) % num_buckets][key] = leaves[key]
+        return cls(
+            tuple(MappingProxyType(bucket) for bucket in buckets),
+            tuple(bucket_digest(bucket.values()) for bucket in buckets),
+        )
+
+
 class BucketedDigest:
     """Rolling merkleized digest over a keyed state (checkpoint fast path).
 
@@ -110,56 +144,45 @@ class BucketedDigest:
     bucket digests.  Mutations mark only the owning bucket dirty, so a root
     request re-canonicalizes the touched buckets instead of the whole store.
 
-    The root is a pure function of the entry set: a replica that arrived at a
-    state incrementally and one that bulk-installed it via state transfer
-    compute the same root.
+    The entries are a read-only ``base`` (shared, digested once) overlaid
+    with this instance's own leaves; a dirty bucket is re-digested as the
+    base bucket with the own leaves on top.  The root is a pure function of
+    that entry set: a replica that arrived at a state incrementally and one
+    that bulk-installed it via state transfer compute the same root.
     """
 
-    def __init__(self, num_buckets: int = 64) -> None:
-        if num_buckets < 1:
-            raise LedgerError("BucketedDigest needs at least one bucket")
+    def __init__(self, num_buckets: int = 64, *, base: LeafBuckets | None = None) -> None:
+        if base is None:
+            base = LeafBuckets.of({}, num_buckets)
+        elif len(base.leaves) != num_buckets:
+            raise LedgerError(f"base has {len(base.leaves)} buckets, not {num_buckets}")
         self._num_buckets = num_buckets
+        self._base = base.leaves
         self._entries: list[dict[str, bytes]] = [{} for _ in range(num_buckets)]
-        self._digests: list[bytes] = [sha256(b"")] * num_buckets
+        self._digests: list[bytes] = list(base.digests)
         self._dirty: set[int] = set()
-
-    def _bucket_of(self, key: str) -> int:
-        from zlib import crc32
-
-        return crc32(key.encode()) % self._num_buckets
 
     def update(self, key: str, leaf: bytes) -> None:
         """Set ``key``'s leaf bytes and mark its bucket for re-digesting."""
-        bucket = self._bucket_of(key)
+        bucket = crc32(key.encode()) % self._num_buckets
         self._entries[bucket][key] = leaf
         self._dirty.add(bucket)
-
-    def remove(self, key: str) -> None:
-        bucket = self._bucket_of(key)
-        if self._entries[bucket].pop(key, None) is not None:
-            self._dirty.add(bucket)
-
-    def reset(self) -> None:
-        """Forget all entries (state-transfer install starts from scratch)."""
-        for bucket in range(self._num_buckets):
-            self._entries[bucket].clear()
-        self._digests = [sha256(b"")] * self._num_buckets
-        self._dirty.clear()
 
     def root(self) -> bytes:
         """Current state root; costs O(entries in dirty buckets) to refresh."""
         for bucket in self._dirty:
-            entries = self._entries[bucket]
-            self._digests[bucket] = sha256(
-                b"|".join(entries[key] for key in sorted(entries))
-            )
+            own = self._entries[bucket]
+            base = self._base[bucket]
+            if own.keys() <= base.keys():
+                # Overwrites only: the base is already in key order.
+                leaves = [own.get(key, leaf) for key, leaf in base.items()]
+            else:
+                merged = {**base, **own}
+                leaves = [merged[key] for key in sorted(merged)]
+            self._digests[bucket] = bucket_digest(leaves)
         self._dirty.clear()
         return merkle_root(self._digests)
 
     @property
     def dirty_buckets(self) -> int:
         return len(self._dirty)
-
-    @property
-    def entry_count(self) -> int:
-        return sum(len(entries) for entries in self._entries)

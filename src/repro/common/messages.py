@@ -439,6 +439,9 @@ class StateTransferRequest(Message):
 class StateTransferReply(Message):
     """A peer's state snapshot: store contents, ledger blocks, execution point.
 
+    ``store_versions`` holds every non-zero key version: the state root
+    hashes each key's version, so values alone would not reproduce it.
+
     The requester recomputes ``state_digest`` over everything it would
     install (snapshot, execution point, executed ids, blocks), drops a reply
     whose claim disagrees, and installs only after ``f + 1`` replies agree,
@@ -448,12 +451,14 @@ class StateTransferReply(Message):
     last_executed: int
     state_digest: bytes
     store_snapshot: dict[str, str]
+    store_versions: dict[str, int]
     executed_txn_ids: tuple[str, ...]
     blocks: tuple[Any, ...] = ()
 
     def wire_size(self) -> int:
-        # Dominated by the snapshot; approximate with one KV pair ~ 64 bytes.
-        return 512 + 64 * len(self.store_snapshot)
+        # Dominated by the snapshot; approximate with one KV pair ~ 64 bytes
+        # and one version ~ 16 bytes.
+        return 512 + 64 * len(self.store_snapshot) + 16 * len(self.store_versions)
 
 
 # ---------------------------------------------------------------------------

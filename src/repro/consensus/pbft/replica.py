@@ -52,7 +52,7 @@ from repro.netem.fabric import LinkFabric
 from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.executor import ExecutionEngine
-from repro.storage.kvstore import KeyValueStore
+from repro.storage.kvstore import KeyValueStore, PartitionImage
 from repro.storage.ledger import Block, Ledger
 from repro.storage.locks import LockManager
 from repro.txn.transaction import Transaction
@@ -74,7 +74,7 @@ class PbftReplica(Node):
         *,
         timers: TimerConfig | None = None,
         batch_size: int | None = None,
-        initial_records: dict[str, str] | None = None,
+        partition: PartitionImage | None = None,
     ) -> None:
         region = directory.region_of(replica_id.shard)
         super().__init__(replica_id, region, network)
@@ -150,9 +150,9 @@ class PbftReplica(Node):
         self._last_view_install_time = float("-inf")
 
         # Storage -----------------------------------------------------------
-        self.store = KeyValueStore(self.shard_id)
-        if initial_records:
-            self.store.load(initial_records)
+        #: ``partition`` is the shard's shared read-only preload; the store
+        #: keeps only this replica's writes on top of it.
+        self.store = KeyValueStore(self.shard_id, partition or {})
         self.executor = ExecutionEngine(self.shard_id, self.store)
         self.ledger = Ledger(self.shard_id)
         self.locks = LockManager(self.shard_id)
@@ -845,8 +845,8 @@ class PbftReplica(Node):
         if not self.checkpoints.should_checkpoint(sequence):
             return
         # The rolling root re-digests only buckets touched since the last
-        # checkpoint; the O(n) snapshot_digest_input() canonicalization was
-        # the dominant per-interval cost at paper-scale partitions.
+        # checkpoint, so a checkpoint costs O(touched buckets), not
+        # O(partition), at paper-scale partitions.
         digest = self.checkpoints.state_digest(self.store.state_root(), sequence)
         message = Checkpoint(sender=self.replica_id, sequence=sequence, state_digest=digest)
         self._broadcast_shard(message)
@@ -959,6 +959,7 @@ class PbftReplica(Node):
     def _state_snapshot_digest(
         self,
         snapshot: dict[str, str],
+        versions: dict[str, int],
         last_executed: int,
         executed_txn_ids: Iterable[str],
         blocks: Sequence[Block] = (),
@@ -967,22 +968,27 @@ class PbftReplica(Node):
 
         The executed ids are hashed as a set: two replicas in the same state
         may have finished independent cross-shard batches in different orders.
+        The versions are bound too: the state root hashes them.
         """
-        state = (last_executed, snapshot, frozenset(executed_txn_ids), tuple(blocks))
+        state = (last_executed, snapshot, versions, frozenset(executed_txn_ids), tuple(blocks))
         return sha256(codec.encode_canonical(state))
 
     def _handle_state_request(self, message: StateTransferRequest) -> None:
         if message.last_executed >= self.last_executed:
             return  # the requester is not behind us; nothing useful to send
         snapshot = self.store.items()
+        versions = self.store.versions()
         executed = self.executor.executed_txn_ids()
         blocks = self.ledger.blocks()[1:]
-        digest = self._state_snapshot_digest(snapshot, self.last_executed, executed, blocks)
+        digest = self._state_snapshot_digest(
+            snapshot, versions, self.last_executed, executed, blocks
+        )
         reply = StateTransferReply(
             sender=self.replica_id,
             last_executed=self.last_executed,
             state_digest=digest,
             store_snapshot=snapshot,
+            store_versions=versions,
             executed_txn_ids=executed,
             blocks=blocks,
         )
@@ -995,7 +1001,11 @@ class PbftReplica(Node):
         if message.last_executed <= self.last_executed:
             return
         digest = self._state_snapshot_digest(
-            message.store_snapshot, message.last_executed, message.executed_txn_ids, message.blocks
+            message.store_snapshot,
+            message.store_versions,
+            message.last_executed,
+            message.executed_txn_ids,
+            message.blocks,
         )
         if digest != message.state_digest:
             return  # the claimed digest does not match what would be installed
@@ -1012,7 +1022,7 @@ class PbftReplica(Node):
         self.cancel_timer("state-transfer")
         self._state_transfer_in_flight = False
         self._state_replies = {}
-        self.store.replace(dict(reply.store_snapshot))
+        self.store.replace(reply.store_snapshot, reply.store_versions)
         self.executor.mark_executed(reply.executed_txn_ids)
         self.ledger.adopt_blocks(tuple(reply.blocks))
         self.last_executed = max(self.last_executed, reply.last_executed)

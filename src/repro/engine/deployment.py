@@ -32,7 +32,7 @@ from repro.engine.protocols import Scheduler, Transport
 from repro.errors import ConfigurationError
 from repro.metrics.collector import percentile, summarize_pipeline
 from repro.netem import NetemPolicy, region_map_for
-from repro.storage.kvstore import ShardedKeyValueStore
+from repro.storage.kvstore import PartitionImage, ShardedKeyValueStore
 from repro.txn.transaction import Transaction
 
 
@@ -171,7 +171,10 @@ class Deployment:
             ]
             if not shard_members:
                 continue
-            partition = table.build_partition(shard.shard_id) if preload_table else None
+            # One read-only image per shard, shared by all of its replicas.
+            partition = (
+                PartitionImage(table.build_partition(shard.shard_id)) if preload_table else None
+            )
             for replica_id in shard_members:
                 replicas[replica_id] = replica_class(
                     replica_id,
@@ -179,7 +182,7 @@ class Deployment:
                     backend.transport,
                     keystore,
                     batch_size=batch_size or 1,
-                    initial_records=partition,
+                    partition=partition,
                 )
 
         deployment = cls(

@@ -1,6 +1,6 @@
 """Per-shard storage substrates: KV store, lock manager, ledger, execution, checkpoints."""
 
-from repro.storage.kvstore import KeyValueStore, ShardedKeyValueStore
+from repro.storage.kvstore import KeyValueStore, PartitionImage, ShardedKeyValueStore
 from repro.storage.locks import LockManager
 from repro.storage.ledger import Block, Ledger
 from repro.storage.executor import ExecutionEngine, ExecutionResult
@@ -8,6 +8,7 @@ from repro.storage.checkpoint import CheckpointStore
 
 __all__ = [
     "KeyValueStore",
+    "PartitionImage",
     "ShardedKeyValueStore",
     "LockManager",
     "Block",

@@ -3,6 +3,8 @@
 The paper's evaluation uses a YCSB table with an active set of 600k records;
 each shard manages a unique partition of the data and every replica of a
 shard keeps an identical copy of that partition (Section 3, Section 8).
+Here the identical initial copy is one read-only :class:`PartitionImage` per
+shard, shared by its replicas; each replica stores only its own writes.
 
 Keys are strings of the form ``"user<N>"``; partitioning is by key range so
 that the owner shard of any key can be computed locally by any replica
@@ -11,9 +13,11 @@ that the owner shard of any key can be computed locally by any replica
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Any
 
-from repro.common.merkle import BucketedDigest
+from repro.common.merkle import BucketedDigest, LeafBuckets
 from repro.errors import StorageError
 
 
@@ -22,87 +26,102 @@ def ycsb_key(index: int) -> str:
     return f"user{index}"
 
 
-@dataclass
-class KeyValueStore:
-    """One replica's copy of its shard's partition."""
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
-    shard_id: int
-    _data: dict[str, str] = field(default_factory=dict)
-    _version: dict[str, int] = field(default_factory=dict)
-    _rolling: BucketedDigest = field(default_factory=BucketedDigest, repr=False)
 
-    def _track(self, key: str) -> None:
-        self._rolling.update(
-            key, f"{key}={self._data[key]}#{self._version.get(key, 0)}".encode()
+def _leaf(key: str, value: str, version: int) -> bytes:
+    return f"{key}={value}#{version}".encode()
+
+
+class PartitionImage:
+    """A read-only partition: records, their versions, and digested leaves.
+
+    Built once per shard and shared by every replica of it; each replica's
+    :class:`KeyValueStore` keeps only its own writes on top.  Every mapping
+    here is a ``MappingProxyType`` and every sequence a tuple, so a write
+    cannot leak into the image -- it would corrupt every replica of the
+    shard identically, which no divergence check could see.
+    """
+
+    __slots__ = ("records", "versions", "buckets")
+
+    def __init__(self, records: Mapping[str, str], versions: Mapping[str, int] = _EMPTY) -> None:
+        records = dict(records)
+        versions = dict(versions)
+        self.records: Mapping[str, str] = MappingProxyType(records)
+        #: Only the non-zero versions (keys written before the image was taken).
+        self.versions: Mapping[str, int] = MappingProxyType(versions)
+        self.buckets = LeafBuckets.of(
+            {key: _leaf(key, value, versions.get(key, 0)) for key, value in records.items()}
         )
 
-    def load(self, records: dict[str, str]) -> None:
-        """Bulk-load the initial table contents (identical on every replica)."""
-        self._data.update(records)
-        for key in records:
-            self._version.setdefault(key, 0)
-            self._track(key)
 
-    def replace(self, records: dict[str, str]) -> None:
-        """Replace the whole partition with ``records`` (state transfer install).
+class KeyValueStore:
+    """One replica's view of its shard's partition: the image plus own writes."""
 
-        Versions are reset: after a state transfer the replica adopts the
-        peer's values wholesale, and subsequent writes restart versioning.
+    def __init__(
+        self, shard_id: int, partition: PartitionImage | Mapping[str, str] = _EMPTY
+    ) -> None:
+        self.shard_id = shard_id
+        self.replace(partition)
+
+    def replace(
+        self, partition: PartitionImage | Mapping[str, str], versions: Mapping[str, int] = _EMPTY
+    ) -> None:
+        """Adopt ``partition`` wholesale, dropping every own write.
+
+        A plain mapping (a state-transfer snapshot, a test fixture) becomes a
+        private image with the given ``versions``.
         """
-        self._data = dict(records)
-        self._version = {key: 0 for key in records}
-        self._rolling.reset()
-        for key in records:
-            self._track(key)
+        if not isinstance(partition, PartitionImage):
+            partition = PartitionImage(partition, versions)
+        self.image = partition
+        self._base = partition.records
+        self._data: dict[str, str] = {}
+        self._version: dict[str, int] = {}
+        self._rolling = BucketedDigest(base=partition.buckets)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._data or key in self._base
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._base) + sum(1 for key in self._data if key not in self._base)
 
     def read(self, key: str) -> str:
-        if key not in self._data:
-            raise StorageError(f"key {key!r} is not stored in shard {self.shard_id}")
-        return self._data[key]
+        value = self._data.get(key)
+        if value is None:
+            value = self._base.get(key)
+            if value is None:
+                raise StorageError(f"key {key!r} is not stored in shard {self.shard_id}")
+        return value
 
     def write(self, key: str, value: str) -> None:
-        if key not in self._data:
-            # Blind inserts are allowed: YCSB's insert operation creates rows.
-            self._version[key] = 0
+        """Set ``key`` (blind inserts are allowed: YCSB's insert creates rows)."""
+        version = self.version(key) + 1
         self._data[key] = value
-        self._version[key] = self._version.get(key, 0) + 1
-        self._track(key)
+        self._version[key] = version
+        self._rolling.update(key, _leaf(key, value, version))
 
     def version(self, key: str) -> int:
         """Number of committed writes applied to ``key`` (0 for never-written)."""
-        return self._version.get(key, 0)
-
-    def snapshot_digest_input(self) -> bytes:
-        """Stable byte representation of the full state (O(n) re-canonicalization).
-
-        Kept for tools and tests; the checkpoint hot path uses
-        :meth:`state_root` instead.
-        """
-        parts = [f"{k}={v}#{self._version.get(k, 0)}" for k, v in sorted(self._data.items())]
-        return "|".join(parts).encode()
+        version = self._version.get(key)
+        return self.image.versions.get(key, 0) if version is None else version
 
     def state_root(self) -> bytes:
         """Rolling merkleized digest of the full state.
 
-        Incrementally maintained by :meth:`write`/:meth:`load`/:meth:`replace`;
-        a root request re-digests only the buckets touched since the last call,
-        so periodic checkpoints stop re-canonicalizing the whole partition.
+        Incrementally maintained by :meth:`write`; a root request re-digests
+        only the buckets touched since the last call, over the image's leaves
+        with this replica's own on top.
         """
         return self._rolling.root()
 
-    @property
-    def dirty_digest_buckets(self) -> int:
-        """Buckets awaiting re-digest (instrumentation for benchmarks)."""
-        return self._rolling.dirty_buckets
-
     def items(self) -> dict[str, str]:
-        return dict(self._data)
+        return {**self._base, **self._data}
+
+    def versions(self) -> dict[str, int]:
+        """Every non-zero version (what a state-transfer snapshot carries)."""
+        return {**self.image.versions, **self._version}
 
 
 class ShardedKeyValueStore:

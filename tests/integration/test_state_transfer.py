@@ -57,6 +57,12 @@ class TestDarkReplicaCatchUp:
                 assert value == reference.store.read(key)
                 adopted += 1
         assert adopted >= 4
+        # The versions came along, so the adopted state hashes to the same
+        # root as a replica that executed every batch itself.
+        peers = [cluster.replica(0, i) for i in range(3)]
+        assert victim.store.items() == reference.store.items()
+        assert victim.store.version("user0") == reference.store.version("user0") == 1
+        assert {r.store.state_root() for r in peers} == {victim.store.state_root()}
         # Its ledger adopted the peers' blocks and still verifies.
         assert victim.ledger.verify_chain()
         assert victim.ledger.height >= 4
@@ -117,6 +123,7 @@ class TestStateTransferSafety:
             last_executed=50,
             state_digest=b"\x01" * 32,
             store_snapshot={"userX": "forged"},
+            store_versions={"userX": 1},
             executed_txn_ids=("forged-txn",),
         )
         victim._handle_state_reply(reply)
@@ -131,19 +138,22 @@ class TestStateTransferSafety:
 
         victim._state_transfer_in_flight = True
         snapshot = {"user0": "adopted-value"}
-        digest = victim._state_snapshot_digest(snapshot, 7, ("adopted-txn",))
+        versions = {"user0": 2}
+        digest = victim._state_snapshot_digest(snapshot, versions, 7, ("adopted-txn",))
         for index in (0, 1):
             reply = StateTransferReply(
                 sender=cluster.replica(0, index).replica_id,
                 last_executed=7,
                 state_digest=digest,
                 store_snapshot=snapshot,
+                store_versions=versions,
                 executed_txn_ids=("adopted-txn",),
             )
             victim._handle_state_reply(reply)
         assert victim.state_transfers_completed == 1
         assert victim.last_executed == 7
         assert victim.store.read("user0") == "adopted-value"
+        assert victim.store.version("user0") == 2
         assert victim.executor.already_executed("adopted-txn")
 
     def test_reply_with_an_honest_digest_over_forged_state_is_dropped(self):
@@ -156,18 +166,21 @@ class TestStateTransferSafety:
 
         victim._state_transfer_in_flight = True
         snapshot = {"user0": "honest-value"}
-        digest = victim._state_snapshot_digest(snapshot, 7, ("honest-txn",))
+        digest = victim._state_snapshot_digest(snapshot, {"user0": 1}, 7, ("honest-txn",))
 
-        def reply(index, store_snapshot, executed_txn_ids):
+        def reply(index, store_snapshot, executed_txn_ids, store_versions={"user0": 1}):
             return StateTransferReply(
                 sender=cluster.replica(0, index).replica_id,
                 last_executed=7,
                 state_digest=digest,
                 store_snapshot=store_snapshot,
+                store_versions=store_versions,
                 executed_txn_ids=executed_txn_ids,
             )
 
         victim._handle_state_reply(reply(2, {"user0": "forged"}, ("forged-txn",)))
+        # Honest values under forged versions would install a different root.
+        victim._handle_state_reply(reply(3, snapshot, ("honest-txn",), {"user0": 9}))
         victim._handle_state_reply(reply(1, snapshot, ("honest-txn",)))
         assert victim.state_transfers_completed == 0
         assert victim.store.read("user0") != "forged"
@@ -176,5 +189,6 @@ class TestStateTransferSafety:
         victim._handle_state_reply(reply(0, snapshot, ("honest-txn",)))
         assert victim.state_transfers_completed == 1
         assert victim.store.read("user0") == "honest-value"
+        assert victim.store.version("user0") == 1
         assert victim.executor.already_executed("honest-txn")
         assert not victim.executor.already_executed("forged-txn")

@@ -287,7 +287,7 @@ class TestInFlightRotationSafety:
         assert victim._gc_floor(stable_sequence=10) == 0  # pinned below the record
 
         snapshot = {"user0": "adopted"}
-        digest = victim._state_snapshot_digest(snapshot, 6, ("missed-rotation",))
+        digest = victim._state_snapshot_digest(snapshot, {}, 6, ("missed-rotation",))
         victim._state_transfer_in_flight = True
         for index in (0, 1):
             victim._handle_state_reply(
@@ -296,6 +296,7 @@ class TestInFlightRotationSafety:
                     last_executed=6,
                     state_digest=digest,
                     store_snapshot=snapshot,
+                    store_versions={},
                     executed_txn_ids=("missed-rotation",),
                 )
             )

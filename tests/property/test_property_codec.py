@@ -193,6 +193,7 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         last_executed=sequences,
         state_digest=digests,
         store_snapshot=kv_dicts,
+        store_versions=st.dictionaries(short_text, sequences, max_size=2),
         executed_txn_ids=st.lists(short_text, max_size=3).map(tuple),
         blocks=st.lists(blocks, max_size=2).map(tuple),
     ),

@@ -7,8 +7,7 @@ from repro.txn.transaction import TransactionBuilder
 
 
 def _engine(shard_id=0, records=None):
-    store = KeyValueStore(shard_id=shard_id)
-    store.load(records or {"user1": "init", "user2": "init"})
+    store = KeyValueStore(shard_id, records or {"user1": "init", "user2": "init"})
     return ExecutionEngine(shard_id, store), store
 
 

@@ -2,14 +2,22 @@
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.engine import Deployment
 from repro.errors import StorageError
-from repro.storage.kvstore import KeyValueStore, ShardedKeyValueStore, ycsb_key
+from repro.storage.kvstore import (
+    KeyValueStore,
+    PartitionImage,
+    ShardedKeyValueStore,
+    ycsb_key,
+)
+
+from tests.conftest import small_workload
 
 
 class TestKeyValueStore:
-    def test_load_and_read(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "a", "user2": "b"})
+    def test_construct_and_read(self):
+        store = KeyValueStore(0, {"user1": "a", "user2": "b"})
         assert store.read("user1") == "a"
         assert len(store) == 2
 
@@ -19,8 +27,7 @@ class TestKeyValueStore:
             store.read("absent")
 
     def test_write_updates_value_and_version(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "a"})
+        store = KeyValueStore(0, {"user1": "a"})
         assert store.version("user1") == 0
         store.write("user1", "b")
         assert store.read("user1") == "b"
@@ -31,20 +38,115 @@ class TestKeyValueStore:
         store.write("new-key", "value")
         assert "new-key" in store
         assert store.version("new-key") == 1
+        assert len(store) == 1
+        store.write("new-key", "again")
+        assert len(store) == 1
 
-    def test_snapshot_digest_input_changes_with_state(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "a"})
-        before = store.snapshot_digest_input()
+    def test_state_root_changes_with_state(self):
+        store = KeyValueStore(0, {"user1": "a"})
+        before = store.state_root()
         store.write("user1", "b")
-        assert store.snapshot_digest_input() != before
+        assert store.state_root() != before
 
     def test_items_returns_copy(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "a"})
+        store = KeyValueStore(0, {"user1": "a"})
         items = store.items()
         items["user1"] = "mutated"
         assert store.read("user1") == "a"
+
+    def test_plain_mapping_and_image_build_the_same_store(self):
+        records = {f"user{i}": "init" for i in range(100)}
+        from_dict = KeyValueStore(0, records)
+        from_image = KeyValueStore(0, PartitionImage(records))
+        assert from_dict.state_root() == from_image.state_root()
+        assert from_dict.items() == from_image.items()
+
+    def test_root_is_independent_of_how_the_state_was_reached(self):
+        # Writing on top of an image and installing the result as a fresh
+        # image must agree: the root is a function of (key, value, version).
+        store = KeyValueStore(0, {f"user{i}": "init" for i in range(50)})
+        for i in range(0, 50, 7):
+            store.write(f"user{i}", f"v{i}")
+        store.write("user7", "again")
+        store.write("user-new", "blind")
+        installed = KeyValueStore(0, PartitionImage(store.items(), store.versions()))
+        assert installed.state_root() == store.state_root()
+        assert installed.version("user7") == 2
+
+
+class TestGoldenStateRoot:
+    """The shared-image store reproduces the per-replica store's roots bit for bit.
+
+    The hex values were computed by the earlier store, which loaded every
+    record into its own bucketed digest.
+    """
+
+    def test_root_after_fixed_writes(self):
+        table = ShardedKeyValueStore((0, 1), num_records=2000)
+        store = KeyValueStore(0, PartitionImage(table.build_partition(0)))
+        assert len(store) == 1000
+        assert store.state_root().hex() == (
+            "3946717934a562cce4f62063fa75f0cb9d3611a2de4bdc8c9d75ab0d5cb80e0c"
+        )
+        store.write("user0", "a")
+        store.write("user7", "b")
+        assert store.state_root().hex() == (
+            "f91f96d51bb1e2b0b66a7d8347b4d5f5807dbb594baf42d65a06a2c9bd9530d2"
+        )
+        store.write("user0", "c")
+        store.write("user999", "d")
+        store.write("user-blind", "e")
+        assert store.state_root().hex() == (
+            "a239052259fe98caf7e2b3d07edb86518b9aee316f8e023363082d3ac32a96b3"
+        )
+        assert (store.version("user0"), store.version("user-blind"), len(store)) == (2, 1, 1001)
+
+
+class TestSharedImageIsolation:
+    def _stores(self):
+        image = PartitionImage({f"user{i}": "init" for i in range(200)})
+        return image, [KeyValueStore(0, image) for _ in range(4)]
+
+    def test_a_write_changes_no_other_replica(self):
+        image, (writer, *others) = self._stores()
+        before = [(s.read("user3"), s.version("user3"), s.state_root()) for s in others]
+        writer.write("user3", "changed")
+        writer.write("user-insert", "new")
+        writer.state_root()
+        after = [(s.read("user3"), s.version("user3"), s.state_root()) for s in others]
+        assert after == before == [("init", 0, before[0][2])] * len(others)
+        assert all("user-insert" not in s for s in others)
+        assert image.records["user3"] == "init"
+        assert "user-insert" not in image.records
+
+    def test_image_is_read_only(self):
+        image, _ = self._stores()
+        with pytest.raises(TypeError):
+            image.records["user0"] = "x"
+        with pytest.raises(TypeError):
+            image.versions["user0"] = 1
+        with pytest.raises(TypeError):
+            image.buckets.leaves[0]["user0"] = b"x"
+        with pytest.raises(TypeError):
+            image.buckets.leaves[0] = {}
+
+    def test_replace_installs_a_private_image(self):
+        image, (store, other, *_) = self._stores()
+        store.replace({"user0": "adopted"}, {"user0": 3})
+        assert store.image is not image
+        assert store.version("user0") == 3
+        assert other.read("user0") == "init"
+
+    def test_every_replica_of_a_shard_shares_one_image(self):
+        config = SystemConfig.uniform(2, 4, workload=small_workload())
+        with Deployment.build(config, backend="sim") as deployment:
+            for shard in (0, 1):
+                images = {id(r.store.image) for r in deployment.shard_replicas(shard)}
+                assert len(images) == 1
+            assert deployment.replica(0, 0).store.image is not deployment.replica(1, 0).store.image
+            assert len(deployment.replica(0, 0).store) == len(
+                deployment.table.records_for(0)
+            )
 
 
 class TestShardedKeyValueStore:

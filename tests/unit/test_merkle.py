@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.crypto import sha256
-from repro.common.merkle import BucketedDigest, MerkleTree, merkle_root
+from repro.common.merkle import BucketedDigest, LeafBuckets, MerkleTree, merkle_root
 from repro.errors import LedgerError
 
 
@@ -103,30 +103,26 @@ class TestBucketedDigest:
         digest.update("key-7", b"leaf2")
         assert digest.dirty_buckets == 1
 
-    def test_remove_restores_prior_root(self):
-        digest = BucketedDigest()
-        digest.update("stay", b"stay=1")
-        before = digest.root()
-        digest.update("transient", b"transient=1")
-        assert digest.root() != before
-        digest.remove("transient")
-        assert digest.root() == before
+    def test_overlay_on_a_shared_base_matches_a_flat_digest(self):
+        # Overwrites, blind inserts and a base shared by two instances all
+        # reproduce the root of one digest holding the same entries.
+        base = LeafBuckets.of({f"key-{i}": f"key-{i}=v0".encode() for i in range(100)})
+        flat = BucketedDigest()
+        for i in range(100):
+            flat.update(f"key-{i}", f"key-{i}=v0".encode())
+        first = BucketedDigest(base=base)
+        second = BucketedDigest(base=base)
+        assert first.root() == second.root() == flat.root()
+        for digest in (first, flat):
+            digest.update("key-3", b"key-3=v1")
+            digest.update("key-new", b"key-new=v1")
+        assert first.root() == flat.root()
+        assert second.root() != first.root()
+        assert second.root() == BucketedDigest(base=base).root()
 
-    def test_remove_of_absent_key_is_a_noop(self):
-        digest = BucketedDigest()
-        digest.update("k", b"v")
-        root = digest.root()
-        digest.remove("missing")
-        assert digest.dirty_buckets == 0
-        assert digest.root() == root
-
-    def test_reset_matches_fresh_instance(self):
-        digest = BucketedDigest()
-        for i in range(20):
-            digest.update(f"key-{i}", b"leaf")
-        digest.reset()
-        assert digest.entry_count == 0
-        assert digest.root() == BucketedDigest().root()
+    def test_base_with_another_bucket_count_is_rejected(self):
+        with pytest.raises(LedgerError):
+            BucketedDigest(8, base=LeafBuckets.of({}, num_buckets=4))
 
     def test_zero_buckets_rejected(self):
         with pytest.raises(LedgerError):

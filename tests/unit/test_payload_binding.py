@@ -78,6 +78,7 @@ _FIELD_VALUES = {
     "abandoned": (5, 6),
     "last_executed": 9,
     "store_snapshot": {"user1": "a", "user2": "b"},
+    "store_versions": {"user1": 1, "user2": 3},
     "executed_txn_ids": ("t1", "t2"),
     "blocks": (genesis_block(0), genesis_block(1)),
     "global_sequence": 11,

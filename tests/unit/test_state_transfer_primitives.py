@@ -16,26 +16,26 @@ def _txn(txn_id, key="user1"):
 
 class TestStoreReplace:
     def test_replace_swaps_full_contents(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "old", "user2": "old"})
+        store = KeyValueStore(0, {"user1": "old", "user2": "old"})
         store.write("user1", "modified")
         store.replace({"user1": "adopted", "user9": "new"})
         assert store.read("user1") == "adopted"
         assert store.read("user9") == "new"
         assert "user2" not in store
 
-    def test_replace_resets_versions(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "old"})
+    def test_replace_adopts_the_snapshot_versions(self):
+        store = KeyValueStore(0, {"user1": "old"})
         store.write("user1", "v2")
-        store.replace({"user1": "adopted"})
-        assert store.version("user1") == 0
+        store.replace({"user1": "adopted", "user2": "same"}, {"user1": 4})
+        assert store.version("user1") == 4
+        assert store.version("user2") == 0
+        store.write("user1", "next")
+        assert store.version("user1") == 5
 
 
 class TestExecutorAdoption:
     def test_mark_executed_prevents_reexecution(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "adopted-value"})
+        store = KeyValueStore(0, {"user1": "adopted-value"})
         engine = ExecutionEngine(0, store)
         engine.mark_executed(["t-old"])
         assert engine.already_executed("t-old")
@@ -45,16 +45,14 @@ class TestExecutorAdoption:
         assert store.read("user1") == "adopted-value"
 
     def test_executed_txn_ids_lists_both_adopted_and_executed(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "x"})
+        store = KeyValueStore(0, {"user1": "x"})
         engine = ExecutionEngine(0, store)
         engine.execute_fragment(_txn("t-real"))
         engine.mark_executed(["t-adopted"])
         assert set(engine.executed_txn_ids()) == {"t-real", "t-adopted"}
 
     def test_mark_executed_does_not_override_real_results(self):
-        store = KeyValueStore(shard_id=0)
-        store.load({"user1": "x"})
+        store = KeyValueStore(0, {"user1": "x"})
         engine = ExecutionEngine(0, store)
         engine.execute_fragment(_txn("t1"))
         engine.mark_executed(["t1"])
