@@ -160,11 +160,8 @@ class AhlReplica(PbftReplica):
     def _on_batch_committed(self, view, sequence, digest, batch) -> None:
         if batch and batch[0].transaction.is_cross_shard:
             self._on_cross_shard_committed(sequence, digest, batch)
-        elif batch:
-            # Single-shard path: sequence-ordered locking, execute, release.
-            self._acquire_locks_then(
-                sequence, digest, batch, lambda: self._execute_local(sequence, digest, batch)
-            )
+        else:
+            super()._on_batch_committed(view, sequence, digest, batch)
         # Any commit may complete the sequence prefix a due prepare waits on.
         self._send_due_prepares()
 
@@ -220,11 +217,6 @@ class AhlReplica(PbftReplica):
                     self._cross_dest_counts[shard] = self._cross_dest_counts.get(shard, 0) + 1
                     record.shard_sequences[shard] = self._cross_dest_counts[shard]
             self._send_prepare_2pc(record, sequence)
-
-    def _execute_local(self, sequence: int, digest: bytes, batch) -> None:
-        self._execute_batch(sequence, digest, batch)
-        self.last_executed = max(self.last_executed, sequence)
-        self._release_lock_token(digest.hex())
 
     # ------------------------------------------------------------------
     # 2PC: prepare phase
@@ -409,13 +401,8 @@ class AhlReplica(PbftReplica):
             # Decision arrived before the local vote consensus finished; it
             # will be finished when the vote path completes.
             return
-        transactions = [req.transaction for req in record.requests]
-        self.executor.execute_batch(transactions)
-        self.executed_txn_count += len(transactions)
-        self.last_executed = max(self.last_executed, record.local_sequence)
         record.executed = True
-        self._release_lock_token(record.batch_digest.hex())
-        self._maybe_checkpoint(record.local_sequence, tuple(transactions))
+        self._execute_fragment(record.local_sequence, record.batch_digest, record.requests)
 
     # ------------------------------------------------------------------
     # dispatch

@@ -97,25 +97,9 @@ class Batcher:
         base, extra = divmod(count, chunks)
         return [base + 1] * extra + [base] * (chunks - extra)
 
-    def flush(self, max_size: int | None = None) -> list[list[ClientRequest]]:
-        """Close and return every partially filled batch.
-
-        With ``max_size`` (pipelined primaries) each group is emitted through
-        the same :meth:`even_split` sizing the proposal pump uses, so the
-        trailing flush produces balanced batches instead of whatever remainder
-        the fill threshold left behind.
-        """
-        batches: list[list[ClientRequest]] = []
-        for group in self._groups.values():
-            if not group:
-                continue
-            if max_size is None or len(group) <= max_size:
-                batches.append(group)
-                continue
-            start = 0
-            for size in self.even_split(len(group), max_size):
-                batches.append(group[start : start + size])
-                start += size
+    def flush(self) -> list[list[ClientRequest]]:
+        """Close and return every partially filled batch, one per group."""
+        batches = [group for group in self._groups.values() if group]
         self._groups.clear()
         self.pending = 0
         return batches

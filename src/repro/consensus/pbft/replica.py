@@ -5,14 +5,16 @@ primary-backup BFT protocol, and the paper (like this reproduction) uses PBFT.
 The replica implemented here provides:
 
 * the three normal-case phases (PrePrepare -> Prepare -> Commit) over request
-  batches, with out-of-order consensus but in-order execution;
+  batches, with out-of-order consensus; ledger append and lock acquisition
+  follow sequence order, and execution follows the lock grants;
 * request batching at the primary;
 * periodic checkpoints for log truncation and dark-replica catch-up;
 * the PBFT view-change / new-view sub-protocol to replace a faulty primary;
 * per-shard ledger, key-value store, and execution engine.
 
 Subclasses (RingBFT, AHL, Sharper) override a small set of hooks --
-:meth:`_should_sign_commit`, :meth:`_on_batch_committed`, and
+:meth:`_should_sign_commit`, :meth:`_on_locks_acquired` (or, for a batch that
+must not wait on locks, :meth:`_on_batch_committed`), and
 :meth:`_accepts_client_request` -- to layer their cross-shard machinery on top
 without touching the intra-shard core, and hand any batch they want ordered
 locally to :meth:`_admit` rather than proposing it themselves.
@@ -51,7 +53,7 @@ from repro.consensus.pbft.pacing import ArrivalRateEstimator
 from repro.netem.fabric import LinkFabric
 from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
-from repro.storage.executor import ExecutionEngine
+from repro.storage.executor import ExecutionEngine, ExecutionResult
 from repro.storage.kvstore import KeyValueStore, PartitionImage
 from repro.storage.ledger import Block, Ledger
 from repro.storage.locks import LockManager
@@ -129,7 +131,6 @@ class PbftReplica(Node):
         self.proposed_request_count = 0
         self.batches: dict[bytes, tuple[ClientRequest, ...]] = {}
         self.last_executed = 0
-        self._pending_execution: dict[int, bytes] = {}
         self._ledger_pending: dict[int, bytes] = {}
         self._ledger_appended = 0
         self._pending_client_requests: dict[str, ClientRequest] = {}
@@ -164,7 +165,7 @@ class PbftReplica(Node):
             digest_quorum=self.quorum.weak_quorum,
         )
 
-        # Lock-ordered continuations (shared by the sharded protocol subclasses).
+        # Continuations of committed batches waiting for their locks, by token.
         self._lock_continuations: dict[str, object] = {}
 
         # State transfer (dark-replica catch-up) ------------------------------
@@ -515,13 +516,6 @@ class PbftReplica(Node):
         """Number of this replica's proposals currently in flight."""
         return len(self._open_slots)
 
-    @property
-    def avg_queue_delay(self) -> float:
-        """Mean time a request waited at this primary before being proposed."""
-        if not self.proposed_request_count:
-            return 0.0
-        return self.queue_delay_total / self.proposed_request_count
-
     def _local_timeout(self) -> float:
         """Local timeout with exponential backoff over successive views.
 
@@ -725,48 +719,58 @@ class PbftReplica(Node):
             break
 
     # ------------------------------------------------------------------
-    # execution (in sequence order)
+    # execution: sequence-ordered locking, then one execution step
     # ------------------------------------------------------------------
 
     def _on_batch_committed(
         self, view: int, sequence: int, digest: bytes, batch: tuple[ClientRequest, ...]
     ) -> None:
-        """Base behaviour: queue the batch and execute strictly in sequence order."""
-        self._pending_execution[sequence] = digest
-        self._execute_ready_batches()
+        """Acquire the batch's locks in sequence order, then run its continuation.
 
-    def _execute_ready_batches(self) -> None:
-        while True:
-            sequence = self.last_executed + 1
-            if sequence in self._pending_execution:
-                digest = self._pending_execution.pop(sequence)
-                batch = self.batches.get(digest, ())
-                self._execute_batch(sequence, digest, batch)
-                self.last_executed = sequence
-                continue
-            if sequence in self._abandoned_sequences:
-                # A view change declared this sequence a no-op; skip the gap.
-                self.last_executed = sequence
-                continue
-            break
+        Lock acquisition follows sequence order, like the ledger append;
+        execution follows the lock grants.  A continuation that waits on other
+        shards (a cross-shard fragment) can therefore execute after later,
+        non-conflicting batches.
+        """
+        self._acquire_locks_then(
+            sequence,
+            digest,
+            batch,
+            lambda: self._on_locks_acquired(view, sequence, digest, batch),
+        )
 
-    def _execute_batch(
+    def _on_locks_acquired(
+        self, view: int, sequence: int, digest: bytes, batch: tuple[ClientRequest, ...]
+    ) -> None:
+        """Default continuation: execute the batch and reply to its clients."""
+        # Marked first: the step's checkpoint may truncate this slot, and a
+        # mark afterwards would re-create it.
+        self.log.mark(self.view, sequence, SlotState.EXECUTED)
+        self._execute_fragment(sequence, digest, batch)
+        for request in batch:
+            self._reply_to_client(request, sequence)
+
+    def _execute_fragment(
         self,
         sequence: int,
         digest: bytes,
         batch: tuple[ClientRequest, ...],
-        remote_values: dict[int, dict[str, str]] | None = None,
-    ) -> None:
-        """Execute every transaction in the batch, append the block, reply to clients."""
+        write_sets: dict[int, dict[str, str]] | None = None,
+    ) -> list[ExecutionResult]:
+        """The one execution step for a batch holding its locks at ``sequence``.
+
+        Executes the batch's transactions (``write_sets`` carries remote values
+        for cross-shard dependencies), advances ``last_executed``, offers the
+        sequence to the checkpoint protocol, and releases the batch's locks,
+        which may run the continuations waiting on them.
+        """
         transactions = [request.transaction for request in batch]
-        if not transactions:
-            return
-        self.executor.execute_batch(transactions, remote_values)
+        results = self.executor.execute_batch(transactions, write_sets)
         self.executed_txn_count += len(transactions)
-        self.log.mark(self.view, sequence, SlotState.EXECUTED)
-        for request in batch:
-            self._reply_to_client(request, sequence)
+        self.last_executed = max(self.last_executed, sequence)
         self._maybe_checkpoint(sequence, tuple(transactions))
+        self._release_lock_token(digest.hex())
+        return results
 
     def _reply_to_client(self, request: ClientRequest, sequence: int) -> None:
         txn = request.transaction
@@ -790,7 +794,7 @@ class PbftReplica(Node):
         return self.ledger.sequence_of(txn_id)
 
     # ------------------------------------------------------------------
-    # sequence-ordered locking helpers (used by RingBFT, AHL, Sharper)
+    # sequence-ordered locking helpers
     # ------------------------------------------------------------------
 
     def _lock_keys_for(self, batch: tuple[ClientRequest, ...]) -> frozenset[str]:
@@ -893,10 +897,10 @@ class PbftReplica(Node):
 
     def _truncate_below(self, watermark: int) -> None:
         releasable = self.log.truncate_below(watermark)
-        # A digest may still be awaiting in-order execution or ledger append
-        # (RingBFT executes out of band); those payloads must survive.
-        still_needed = set(self._pending_execution.values()) | set(self._ledger_pending.values())
-        for digest in releasable - still_needed:
+        # A digest may still be awaiting its ledger append; that payload must
+        # survive.  One awaiting its locks sits above ``last_executed``, so
+        # above the watermark.
+        for digest in releasable - set(self._ledger_pending.values()):
             self.batches.pop(digest, None)
         self._committed_sequences = {s for s in self._committed_sequences if s > watermark}
         self._abandoned_sequences = {s for s in self._abandoned_sequences if s > watermark}
@@ -921,7 +925,6 @@ class PbftReplica(Node):
             "open_slots": len(self._open_slots),
             "log_slots": self.log.slot_count,
             "batches": len(self.batches),
-            "pending_execution": len(self._pending_execution),
             "ledger_pending": len(self._ledger_pending),
             "committed_sequences": len(self._committed_sequences),
             "committed_txn_ids": len(self._committed_txn_ids),
@@ -1028,8 +1031,6 @@ class PbftReplica(Node):
         self.last_executed = max(self.last_executed, reply.last_executed)
         self._ledger_appended = max(self._ledger_appended, self.ledger.head.sequence)
         self._committed_txn_ids.update(reply.executed_txn_ids)
-        for sequence in [s for s in self._pending_execution if s <= reply.last_executed]:
-            del self._pending_execution[sequence]
         for unblocked in self.locks.fast_forward(reply.last_executed):
             self._run_lock_continuation(unblocked)
         self.state_transfers_completed += 1
@@ -1112,7 +1113,7 @@ class PbftReplica(Node):
         Returns ``(reproposals, abandoned)`` where ``abandoned`` lists the
         sequence numbers below the highest known sequence for which no
         prepared certificate exists -- they are filled with no-ops so that
-        in-order execution and sequence-ordered locking never stall.
+        the ledger append and sequence-ordered locking never stall.
         """
         prepared: dict[int, tuple[bytes, tuple[ClientRequest, ...]]] = {}
         stable = self.checkpoints.last_stable_sequence
@@ -1205,7 +1206,9 @@ class PbftReplica(Node):
         self.cancel_timer(f"slot-{sequence}")
         self._abandoned_sequences.add(sequence)
         self._close_slot(sequence)
-        self._execute_ready_batches()
+        # A gap directly above the execution point is handled as executed.
+        while self.last_executed + 1 in self._abandoned_sequences:
+            self.last_executed += 1
         self._drain_ledger()
         for unblocked in self.locks.skip_sequence(sequence):
             self._run_lock_continuation(unblocked)

@@ -120,23 +120,12 @@ class RingBftReplica(PbftReplica):
             return False
         return batch[0].transaction.is_cross_shard
 
-    def _on_batch_committed(self, view, sequence, digest, batch) -> None:
-        """Lock data fragments in sequence order, then execute or forward."""
-        if not batch:
+    def _on_locks_acquired(self, view, sequence, digest, batch) -> None:
+        """A single-shard batch executes; a cross-shard one forwards its locks."""
+        if not batch or not batch[0].transaction.is_cross_shard:
+            super()._on_locks_acquired(view, sequence, digest, batch)
             return
-        self._acquire_locks_then(
-            sequence, digest, batch, lambda: self._on_locks_acquired(view, sequence, digest)
-        )
-
-    def _on_locks_acquired(self, view: int, sequence: int, digest: bytes) -> None:
-        batch = self.batches.get(digest, ())
-        if not batch:
-            return
-        involved = batch[0].transaction.involved_shards
-        if len(involved) <= 1:
-            self._execute_single_shard(sequence, digest, batch)
-            return
-        record = self._record_for(digest, involved, batch)
+        record = self._record_for(digest, batch[0].transaction.involved_shards, batch)
         record.sequence = sequence
         record.commit_view = view
         record.locked = True
@@ -163,15 +152,6 @@ class RingBftReplica(PbftReplica):
             for shard, key in op.depends_on
             if shard == self.shard_id
         )
-
-    # ------------------------------------------------------------------
-    # single-shard path
-    # ------------------------------------------------------------------
-
-    def _execute_single_shard(self, sequence: int, digest: bytes, batch) -> None:
-        self._execute_batch(sequence, digest, batch)
-        self.last_executed = max(self.last_executed, sequence)
-        self._release_lock_token(digest.hex())
 
     # ------------------------------------------------------------------
     # cross-shard records
@@ -207,9 +187,6 @@ class RingBftReplica(PbftReplica):
 
     def _next_shard_for(self, record: CrossShardRecord) -> int:
         return self.ring.next_in_ring_order(self.shard_id, record.involved_shards)
-
-    def _prev_shard_for(self, record: CrossShardRecord) -> int:
-        return self.ring.prev_in_ring_order(self.shard_id, record.involved_shards)
 
     def _counterpart(self, shard_id: int):
         """The replica of ``shard_id`` paired with this one by the linear primitive."""
@@ -399,22 +376,21 @@ class RingBftReplica(PbftReplica):
     def _execute_cross_fragment(self, record: CrossShardRecord) -> None:
         if record.executed or record.sequence is None:
             return
-        transactions = [req.transaction for req in record.requests]
-        results = self.executor.execute_batch(transactions, record.write_sets)
-        self.executed_txn_count += len(transactions)
-        local_writes = {
-            key: value
-            for result in results
-            for key, value in result.writes.items()
-            if key in record.dependency_keys
-        }
-        record.add_local_writes(self.shard_id, local_writes)
         record.executed = True
-        self.last_executed = max(self.last_executed, record.sequence)
         self.log.mark(record.commit_view, record.sequence, SlotState.EXECUTED)
         self.cancel_timer(f"transmit-{record.batch_digest.hex()}")
-        self._release_lock_token(record.batch_digest.hex())
-        self._maybe_checkpoint(record.sequence, tuple(transactions))
+        results = self._execute_fragment(
+            record.sequence, record.batch_digest, record.requests, record.write_sets
+        )
+        record.add_local_writes(
+            self.shard_id,
+            {
+                key: value
+                for result in results
+                for key, value in result.writes.items()
+                if key in record.dependency_keys
+            },
+        )
         self._send_execute(record)
         self._maybe_retire_record(record)
 
@@ -628,9 +604,6 @@ class RingBftReplica(PbftReplica):
     # ------------------------------------------------------------------
     # introspection helpers used by tests and experiments
     # ------------------------------------------------------------------
-
-    def committed_cross_shard_count(self) -> int:
-        return sum(1 for record in self._cross_records.values() if record.executed)
 
     def pending_cross_shard(self) -> tuple[str, ...]:
         return tuple(

@@ -120,9 +120,6 @@ class LinkEmulator:
     def region_of(self, address: NodeAddress) -> str:
         return self._regions.get(address, "local")
 
-    def known_regions(self) -> dict[NodeAddress, str]:
-        return dict(self._regions)
-
     # ------------------------------------------------------------------
     # link resolution
     # ------------------------------------------------------------------

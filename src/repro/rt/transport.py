@@ -54,7 +54,6 @@ class RealTimeScheduler:
         self.seed = seed
         self._rng = random.Random(seed)
         self._origin = self._loop.time()
-        self._scheduled = 0
 
     @property
     def now(self) -> float:
@@ -65,14 +64,9 @@ class RealTimeScheduler:
     def rng(self) -> random.Random:
         return self._rng
 
-    @property
-    def scheduled_callbacks(self) -> int:
-        return self._scheduled
-
     def schedule(self, delay: float, callback, *args) -> _AsyncTimerHandle:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._scheduled += 1
         handle = self._loop.call_later(delay, callback, *args)
         return _AsyncTimerHandle(handle, self.now + delay)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.ahl.replica import AhlReplica
 from repro.baselines.sharper.replica import SharperReplica
+from repro.common.messages import PrePrepare, batch_digest
 from repro.consensus.pbft.replica import PbftReplica
 from repro.core.replica import RingBftReplica
 
@@ -38,6 +39,39 @@ class TestSingleShardConsensusAcrossProtocols:
         key = next(iter(txn.keys_for(0)))
         for replica in cluster.shard_replicas(0):
             assert replica.store.read(key) == "committed-value"
+
+    def test_every_batch_locks_in_sequence_order_and_releases(self, replica_class):
+        # One commit path for every protocol: each committed batch passes the
+        # lock table at its sequence, and execution leaves no key locked.
+        cluster = build_cluster(num_shards=1, replica_class=replica_class)
+        for i in range(5):
+            cluster.submit(_single_shard_txn(cluster, 0, value=f"v{i}", txn_id=f"lock-{i}"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        for replica in cluster.shard_replicas(0):
+            assert replica.ledger.head.sequence > 0
+            assert replica.locks.k_max == replica.ledger.head.sequence
+            assert replica.retained_state()["locked_keys"] == 0
+
+    def test_an_empty_batch_passes_the_lock_table(self, replica_class):
+        # A primary may propose a batch with no requests; it still holds a
+        # sequence, so it must pass the lock table or every later batch waits.
+        cluster = build_cluster(num_shards=1, replica_class=replica_class)
+        primary = cluster.primary_of(0)
+        sequence = primary.next_sequence
+        primary.next_sequence += 1
+        primary._broadcast_shard(
+            PrePrepare(
+                sender=primary.replica_id,
+                view=0,
+                sequence=sequence,
+                batch_digest=batch_digest(()),
+                requests=(),
+            )
+        )
+        cluster.submit(_single_shard_txn(cluster, 0, txn_id="after-empty"))
+        assert cluster.run_until_clients_done(timeout=30.0)
+        for replica in cluster.shard_replicas(0):
+            assert replica.locks.k_max == sequence + 1
 
 
 class TestPbftOrdering:

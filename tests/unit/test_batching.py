@@ -1,9 +1,9 @@
 """Unit tests for the request batcher, including the adaptive pipelined path.
 
 The classic path (``add``) closes a batch exactly at ``batch_size``; the
-pipelined path (``stage``/``take``/``flush(max_size)``) sizes batches
-adaptively through :meth:`Batcher.even_split`, so a trailing flush emits
-balanced batches instead of one-request crumbs.
+pipelined path (``stage``/``take``) sizes batches adaptively through
+:meth:`Batcher.even_split`, so the proposal pump emits balanced batches
+instead of one-request crumbs; ``flush`` closes every group whole.
 """
 
 from repro.common.batching import Batcher
@@ -123,19 +123,9 @@ class TestFlush:
         assert [[r.transaction.txn_id for r in b] for b in batches] == [["a", "b", "c"]]
         assert batcher.pending == 0
 
-    def test_flush_with_max_size_uses_adaptive_sizing(self):
-        batcher = Batcher(batch_size=16)
-        for i in range(9):
-            batcher.stage(_request(f"t{i}"))
-        batches = batcher.flush(max_size=4)
-        assert [len(b) for b in batches] == [3, 3, 3]
-        assert batcher.pending == 0
-        flat = [r.transaction.txn_id for b in batches for r in b]
-        assert flat == [f"t{i}" for i in range(9)]
-
     def test_flush_covers_every_group(self):
         batcher = Batcher(batch_size=16)
         batcher.stage(_request("local", shards=(0,)))
         batcher.stage(_request("cross", shards=(0, 1)))
-        batches = batcher.flush(max_size=4)
+        batches = batcher.flush()
         assert sorted(r.transaction.txn_id for b in batches for r in b) == ["cross", "local"]
