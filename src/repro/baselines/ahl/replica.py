@@ -184,6 +184,13 @@ class AhlReplica(PbftReplica):
                 self._acquire_locks_then(
                     sequence, digest, batch, lambda: self._cast_vote(digest)
                 )
+            else:
+                # No data here, but the committee's lock table must still
+                # pass this sequence, or every later batch waits on it.
+                token = digest.hex()
+                self._acquire_locks_then(
+                    sequence, digest, batch, lambda: self._release_lock_token(token)
+                )
             self._check_decision(record)
         elif not self.is_committee_member:
             # An involved shard finished its local vote consensus.

@@ -140,7 +140,7 @@ class KeyStore:
         """Private signing key for ``entity``; only given to that entity."""
         key = self._signing_keys.get(entity)
         if key is None:
-            key = hmac.new(self._seed, b"sign|" + entity.encode(), hashlib.sha256).digest()
+            key = hmac.digest(self._seed, b"sign|" + entity.encode(), "sha256")
             self._signing_keys[entity] = key
         return key
 
@@ -170,7 +170,7 @@ class KeyStore:
         for all ``n`` HMACs), never the key structure.
         """
         lo, hi = sorted((a, b))
-        return hmac.new(self._seed, b"mac|" + lo.encode() + b"|" + hi.encode(), hashlib.sha256).digest()
+        return hmac.digest(self._seed, b"mac|" + lo.encode() + b"|" + hi.encode(), "sha256")
 
 
 class SignatureScheme:
@@ -196,7 +196,7 @@ class SignatureScheme:
         expected = self._keystore.signing_key(entity)
         if not hmac.compare_digest(key, expected):
             raise CryptoError(f"entity {entity!r} presented a key it does not own")
-        value = hmac.new(key, payload, hashlib.sha256).digest()
+        value = hmac.digest(key, payload, "sha256")
         return Signature(signer=entity, value=value)
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
@@ -218,7 +218,7 @@ class SignatureScheme:
 
     def _verify_uncached(self, signature: Signature, payload: bytes) -> bool:
         key = self._keystore.signing_key(signature.signer)
-        expected = hmac.new(key, payload, hashlib.sha256).digest()
+        expected = hmac.digest(key, payload, "sha256")
         return hmac.compare_digest(expected, signature.value)
 
     def require_valid(self, signature: Signature, payload: bytes) -> None:
@@ -232,7 +232,9 @@ class MacAuthenticator:
     """Pairwise MAC authentication for intra-shard traffic.
 
     An authenticator is owned by one endpoint (``owner``) and caches the
-    pairwise secrets that endpoint shares with its peers.
+    pairwise secrets that endpoint shares with its peers.  Tags are one-shot
+    ``hmac.digest`` calls: the same HMAC-SHA256 bytes as an ``hmac.new``
+    object, without building one per tag.
     """
 
     owner: str
@@ -240,17 +242,18 @@ class MacAuthenticator:
     _cache: dict[str, bytes] = field(default_factory=dict)
 
     def _key_for(self, peer: str) -> bytes:
-        if peer not in self._cache:
-            self._cache[peer] = self.keystore.mac_key(self.owner, peer)
-        return self._cache[peer]
+        key = self._cache.get(peer)
+        if key is None:
+            key = self._cache[peer] = self.keystore.mac_key(self.owner, peer)
+        return key
 
     def tag(self, peer: str, payload: bytes) -> bytes:
         """MAC tag authenticating ``payload`` for the channel owner -> peer."""
-        return hmac.new(self._key_for(peer), payload, hashlib.sha256).digest()
+        return hmac.digest(self._key_for(peer), payload, "sha256")
 
     def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
         """Verify a MAC tag received from ``peer``."""
-        expected = hmac.new(self._key_for(peer), payload, hashlib.sha256).digest()
+        expected = hmac.digest(self._key_for(peer), payload, "sha256")
         return hmac.compare_digest(expected, tag)
 
     def tag_vector(self, peers: Iterable[str], payload: bytes) -> dict[str, bytes]:

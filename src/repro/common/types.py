@@ -13,7 +13,7 @@ The paper's notation (Section 3) is mapped onto explicit Python types:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NewType
+from typing import ClassVar, NewType
 
 from repro.common.codec import register_wire_type
 
@@ -36,9 +36,25 @@ class ReplicaId:
 
     shard: int
     index: int
+    # Per-instance caches set in ``__post_init__``.  Declared ``ClassVar`` so
+    # that the dataclass machinery -- and with it equality, ordering and the
+    # canonical wire encoding -- ignores them.
+    _hash: ClassVar[int]
+    _str: ClassVar[str]
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"r{self.index}@S{self.shard}"
+    def __post_init__(self) -> None:
+        # Computed once per instance: replica ids key every vote tally and
+        # routing table, and their string names every MAC key and payload
+        # sender, so both run once per delivered message copy.  The hash
+        # keeps the generated dataclass value.
+        object.__setattr__(self, "_hash", hash((self.shard, self.index)))
+        object.__setattr__(self, "_str", f"r{self.index}@S{self.shard}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self._str
 
     @property
     def is_primary_candidate(self) -> bool:

@@ -16,6 +16,7 @@ only a routing hint -- a wrong one costs a backup's relay or one timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common import codec
 from repro.common.crypto import KeyStore, SignatureScheme
@@ -65,6 +66,7 @@ class Client(Node):
         *,
         region: str = "local",
         timers: TimerConfig | None = None,
+        on_complete: Callable[[], None] | None = None,
     ) -> None:
         super().__init__(client_id, region, network)
         self.client_id = client_id
@@ -74,6 +76,9 @@ class Client(Node):
         self._signing_key = keystore.signing_key(client_id)
         self._in_flight: dict[str, _InFlight] = {}
         self.completed: list[CompletedTransaction] = []
+        #: Called once per completed transaction (the owning deployment's
+        #: running count, which its drivers poll after every event).
+        self._on_complete = on_complete
         #: shard -> replica of that shard -> highest view it has claimed.
         self._view_claims: dict[int, dict[ReplicaId, int]] = {}
         #: shard -> the (f + 1)-th highest claim in ``_view_claims[shard]``.
@@ -175,6 +180,8 @@ class Client(Node):
                 cross_shard=entry.request.transaction.is_cross_shard,
             )
         )
+        if self._on_complete is not None:
+            self._on_complete()
 
     # ------------------------------------------------------------------
     # metrics

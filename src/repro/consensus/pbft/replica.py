@@ -94,6 +94,9 @@ class PbftReplica(Node):
         #: Label under which this replica looks up its own tag in a received
         #: message's MAC vector.
         self.auth_label = f"peer:{replica_id}"
+        #: Each audience member's label in the MAC vectors this replica
+        #: attaches, formatted once per peer rather than per broadcast.
+        self._peer_labels: dict[ReplicaId, str] = {}
         self.auth_tags_created = 0
         self.auth_verifications = 0
         self.auth_rejections = 0
@@ -224,12 +227,19 @@ class PbftReplica(Node):
         resolved once and shared by all ``n`` HMACs, and retransmissions of
         the same object to the same peers mint no new tags.
         """
-        missing = [peer for peer in peers if message.auth_tag(f"peer:{peer}") is None]
+        labels = self._peer_labels
+        missing: list[tuple[str, str]] = []
+        for peer in peers:
+            label = labels.get(peer)
+            if label is None:
+                label = labels[peer] = f"peer:{peer}"
+            if message.auth_tag(label) is None:
+                missing.append((label, str(peer)))
         if not missing:
             return
-        vector = self.mac.tag_vector([str(peer) for peer in missing], message.payload_bytes())
-        for peer in missing:
-            message.attach_auth(f"peer:{peer}", vector[str(peer)])
+        vector = self.mac.tag_vector([name for _, name in missing], message.payload_bytes())
+        for label, name in missing:
+            message.attach_auth(label, vector[name])
         self.auth_tags_created += len(missing)
 
     def _authenticate_cross_shard_broadcast(self, message: Message, shards: Iterable[int]) -> None:
@@ -799,12 +809,15 @@ class PbftReplica(Node):
 
     def _lock_keys_for(self, batch: tuple[ClientRequest, ...]) -> frozenset[str]:
         """All data items this shard must lock for a batch (reads, writes, local deps)."""
+        shard_id = self.shard_id
         keys: set[str] = set()
         for request in batch:
-            txn = request.transaction
-            keys.update(txn.keys_for(self.shard_id))
-            for op in txn.operations:
-                keys.update(key for shard, key in op.depends_on if shard == self.shard_id)
+            for op in request.transaction.operations:
+                if op.shard == shard_id:
+                    keys.add(op.key)
+                for shard, key in op.depends_on:
+                    if shard == shard_id:
+                        keys.add(key)
         return frozenset(keys)
 
     def _acquire_locks_then(
@@ -933,6 +946,7 @@ class PbftReplica(Node):
             "checkpoint_votes": self.checkpoints.pending_vote_count,
             "locked_keys": self.locks.locked_key_count,
             "lock_pending": len(self.locks.pending_sequences),
+            "lock_continuations": len(self._lock_continuations),
         }
 
     # ------------------------------------------------------------------
@@ -1033,6 +1047,11 @@ class PbftReplica(Node):
         self._committed_txn_ids.update(reply.executed_txn_ids)
         for unblocked in self.locks.fast_forward(reply.last_executed):
             self._run_lock_continuation(unblocked)
+        # fast_forward dropped the pending batches the snapshot covers, and
+        # only a pending batch's continuation can ever run: drop the rest.
+        waiting = self.locks.pending_txn_ids
+        for token in [t for t in self._lock_continuations if t not in waiting]:
+            del self._lock_continuations[token]
         self.state_transfers_completed += 1
         # The adopted snapshot covers everything up to the stable point: the
         # evidence this replica buffered while it lagged can now be released.

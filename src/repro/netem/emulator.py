@@ -159,10 +159,21 @@ class LinkEmulator:
     # ------------------------------------------------------------------
 
     def decide(self, src: NodeAddress, dst: NodeAddress, size_bytes: int) -> Decision:
-        """One delivery decision; see the module docstring for the RNG contract."""
-        link = self.link(src, dst)
+        """One delivery decision; see the module docstring for the RNG contract.
+
+        The fault coin is drawn on every decision, but the fault conditions
+        are only consulted when one is in force: with no isolated node, no
+        blocked link and a coin at or above the drop probability,
+        :meth:`NetworkConditions.allows` would deliver.
+        """
+        link = self._links.get((src, dst)) or self.link(src, dst)
         coin = link.rng.random()
-        if not self.conditions.allows(src, dst, coin):
+        conditions = self.conditions
+        if (
+            conditions.isolated_nodes
+            or conditions.blocked_links
+            or coin < conditions.drop_probability
+        ) and not conditions.allows(src, dst, coin):
             link.dropped += 1
             self.stats.faulted += 1
             return (False, 0.0)

@@ -7,11 +7,20 @@ kernel is a classic event-calendar design: callbacks are executed in
 timestamp order, ties broken by insertion order, so a given seed always
 produces the same execution.
 
-Events are deliberately lean: one ``__slots__`` object per calendar entry,
-carrying the callback plus a positional-argument tuple.  Hot callers (the
-network's delivery path fires one event per message copy) schedule a shared
-bound method with per-event arguments instead of allocating a fresh closure
-per delivery, which measurably lifts events/sec.
+The calendar is a binary heap of ``(time, tie_breaker, handle)`` tuples.
+``tie_breaker`` is a per-simulator counter, unique per entry, so the heap
+orders entries by time and then by scheduling order and never compares the
+third element.  Tuple comparison runs in C inside ``heapq``.  That is why
+:class:`TimerHandle` has no ``__lt__``: a Python comparison method would run
+once per heap level on every push and pop, close to twenty interpreted
+calls per event on a busy calendar.
+
+Events are deliberately lean: the :class:`TimerHandle` returned to the caller
+is the calendar entry itself (one ``__slots__`` object per scheduled
+callback), carrying the callback plus a positional-argument tuple.  Hot
+callers (the network's delivery path fires one event per message copy)
+schedule a shared bound method with per-event arguments instead of
+allocating a fresh closure per delivery, which measurably lifts events/sec.
 """
 
 from __future__ import annotations
@@ -26,45 +35,30 @@ from repro.errors import SimulationError
 _NO_ARGS: tuple = ()
 
 
-class _Event:
-    """One calendar entry: (time, tie_breaker) ordered, payload uncompared."""
+class TimerHandle:
+    """One scheduled callback; returned by :meth:`Simulator.schedule` for cancellation."""
 
-    __slots__ = ("time", "tie_breaker", "callback", "args", "cancelled", "fired")
+    __slots__ = ("fire_time", "callback", "args", "cancelled", "fired", "_simulator")
 
     def __init__(
-        self, time: float, tie_breaker: int, callback: Callable[..., None], args: tuple
+        self,
+        simulator: "Simulator",
+        fire_time: float,
+        callback: Callable[..., None],
+        args: tuple,
     ) -> None:
-        self.time = time
-        self.tie_breaker = tie_breaker
+        self._simulator = simulator
+        self.fire_time = fire_time
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.tie_breaker < other.tie_breaker
-
-
-class TimerHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    def __init__(self, event: _Event, simulator: "Simulator") -> None:
-        self._event = event
-        self._simulator = simulator
-
     def cancel(self) -> None:
         """Cancel the pending callback; cancelling twice is harmless."""
-        self._simulator._cancel(self._event)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def fire_time(self) -> float:
-        return self._event.time
+        if not self.cancelled and not self.fired:
+            self.cancelled = True
+            self._simulator._live -= 1
 
 
 class Simulator:
@@ -78,7 +72,7 @@ class Simulator:
 
     def __init__(self, seed: int = 2022) -> None:
         self._now = 0.0
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, TimerHandle]] = []
         self._counter = itertools.count()
         self._rng = random.Random(seed)
         self.seed = seed
@@ -103,11 +97,6 @@ class Simulator:
     def pending_events(self) -> int:
         return self._live
 
-    def _cancel(self, event: _Event) -> None:
-        if not event.cancelled and not event.fired:
-            event.cancelled = True
-            self._live -= 1
-
     def schedule(self, delay: float, callback: Callable[..., None], *args) -> TimerHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -116,10 +105,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(self._now + delay, next(self._counter), callback, args or _NO_ARGS)
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        handle = TimerHandle(self, time, callback, args or _NO_ARGS)
+        heapq.heappush(self._queue, (time, next(self._counter), handle))
         self._live += 1
-        return TimerHandle(event, self)
+        return handle
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args) -> TimerHandle:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
@@ -127,14 +117,15 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event; returns False when the calendar is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, _, handle = heapq.heappop(queue)
+            if handle.cancelled:
                 continue
-            event.fired = True
+            handle.fired = True
             self._live -= 1
-            self._now = event.time
-            event.callback(*event.args)
+            self._now = time
+            handle.callback(*handle.args)
             self._processed += 1
             return True
         return False
@@ -162,6 +153,7 @@ class Simulator:
         return self._now
 
     def _peek_time(self) -> float | None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None

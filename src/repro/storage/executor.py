@@ -17,7 +17,12 @@ from repro.storage.kvstore import KeyValueStore
 from repro.txn.transaction import OpType, Transaction
 
 
-@dataclass(frozen=True)
+#: The dependency set of every complete result: a replica retains one result
+#: per executed transaction, so a fresh empty set each would add up.
+_NO_MISSING: frozenset[tuple[int, str]] = frozenset()
+
+
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Outcome of executing one transaction's fragment on one shard."""
 
@@ -25,7 +30,7 @@ class ExecutionResult:
     shard_id: int
     reads: dict[str, str]
     writes: dict[str, str]
-    missing_dependencies: frozenset[tuple[int, str]] = frozenset()
+    missing_dependencies: frozenset[tuple[int, str]] = _NO_MISSING
 
     @property
     def complete(self) -> bool:
@@ -110,7 +115,7 @@ class ExecutionEngine:
             shard_id=self.shard_id,
             reads=reads,
             writes=writes,
-            missing_dependencies=frozenset(missing),
+            missing_dependencies=frozenset(missing) if missing else _NO_MISSING,
         )
         self._executed[txn.txn_id] = result
         return result

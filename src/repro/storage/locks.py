@@ -51,6 +51,11 @@ class LockManager:
         """Sequences currently waiting in the pending list ``pi``."""
         return tuple(sorted(self._pending))
 
+    @property
+    def pending_txn_ids(self) -> frozenset[str]:
+        """Transactions currently waiting in the pending list ``pi``."""
+        return frozenset(entry.txn_id for entry in self._pending.values())
+
     def holder_of(self, key: str) -> str | None:
         """The transaction currently holding ``key``, if any."""
         return self._held.get(key)

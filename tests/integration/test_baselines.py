@@ -54,6 +54,20 @@ class TestAhl:
         for replica in cluster.shard_replicas(0):
             assert replica.store.read(key) == "ahl-committee-data@0"
 
+    def test_committee_lock_table_passes_batches_it_owns_no_data_of(self):
+        # The committee orders a batch on shards {1, 2}; its own lock table
+        # must still pass that sequence, or its next batch waits forever.
+        cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
+        cluster.submit(_cross_txn(cluster, (1, 2), "ahl-elsewhere"))
+        assert cluster.run_until_clients_done(timeout=120.0)
+        cluster.submit(_single_txn(cluster, 0, "ahl-committee-next"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        assert cluster.completed_transactions() == 2
+        for replica in cluster.shard_replicas(0):
+            assert replica.ledger.head.sequence == 2
+            assert replica.locks.k_max == replica.ledger.head.sequence
+            assert replica.locks.locked_key_count == 0
+
     def test_single_shard_transactions_bypass_the_committee(self):
         cluster = build_cluster(num_shards=3, replica_class=AhlReplica)
         cluster.submit(_single_txn(cluster, 2, "ahl-single"))

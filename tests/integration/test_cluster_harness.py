@@ -72,6 +72,19 @@ class TestDrivers:
         assert driver.submitted == 20
         assert result.completed == 20
 
+    def test_completion_count_matches_every_clients_records(self):
+        # The deployment keeps a running count for its per-event predicates;
+        # across drivers and a client added mid-run it stays the plain sum.
+        cluster, generator = self._cluster_with_generator(cross=0.3)
+        WorkloadDriver(cluster, generator, total=6, window=2).run(timeout=300.0)
+        cluster.add_client("client-late")
+        OpenLoopWorkloadDriver(cluster, generator, rate_per_second=10.0, duration=1.0).run(
+            extra_drain=20.0
+        )
+        records = sum(len(client.completed) for client in cluster.clients.values())
+        assert cluster.clients["client-late"].completed
+        assert cluster.completed_transactions() == records == 16
+
     def test_ledgers_stay_consistent_under_driver_load(self):
         cluster, generator = self._cluster_with_generator(cross=0.5)
         WorkloadDriver(cluster, generator, total=10, window=2).run(timeout=300.0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig, WorkloadConfig
-from repro.engine import Deployment, WorkloadDriver
+from repro.engine import Deployment, OpenLoopWorkloadDriver, WorkloadDriver
 from repro.rt.transport import RealTimeScheduler
 from repro.workloads.ycsb import YcsbWorkloadGenerator
 
@@ -37,6 +37,9 @@ SIM_SPANS = (
     "common.crypto.mac_tag",
     "common.crypto.mac_verify",
 )
+#: What an arrival-driven sim run must fire: it advances through
+#: ``Simulator.run`` rather than ``run_until``'s own loop.
+OPEN_LOOP_SPANS = ("sim.kernel.step", "sim.kernel.schedule", "netem.decide")
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +50,7 @@ def trace():
     return module
 
 
-def _run(backend: str, total: int = 4) -> None:
+def _run(backend: str, total: int = 4, *, open_loop: bool = False) -> None:
     config = SystemConfig.uniform(
         2,
         4,
@@ -57,8 +60,16 @@ def _run(backend: str, total: int = 4) -> None:
     )
     with Deployment.build(config, backend=backend, num_clients=1, batch_size=1, seed=11) as dep:
         generator = YcsbWorkloadGenerator(dep.table, dep.directory.ring, config.workload, seed=11)
-        result = WorkloadDriver(dep, generator, total=total, window=1).run(timeout=60.0)
+        if open_loop:
+            driver = OpenLoopWorkloadDriver(dep, generator, rate_per_second=total, duration=1.0)
+            result = driver.run(extra_drain=10.0)
+        else:
+            result = WorkloadDriver(dep, generator, total=total, window=1).run(timeout=60.0)
         assert result.completed == total
+
+
+def _calls(tracer) -> dict[str, int]:
+    return {name: row["calls"] for name, row in tracer.by_name().items()}
 
 
 def test_traced_spans_fire_on_both_backends(trace):
@@ -66,14 +77,16 @@ def test_traced_spans_fire_on_both_backends(trace):
     tracer = trace.install(trace.Tracer())
     try:
         _run("socket")
-        socket_calls = {name: row["calls"] for name, row in tracer.by_name().items()}
+        socket_calls = _calls(tracer)
         _run("sim")
-        sim_calls = {
-            name: row["calls"] - socket_calls.get(name, 0)
-            for name, row in tracer.by_name().items()
-        }
+        after_sim = _calls(tracer)
+        _run("sim", open_loop=True)
+        after_open = _calls(tracer)
     finally:
         tracer.remove()
+    sim_calls = {name: calls - socket_calls.get(name, 0) for name, calls in after_sim.items()}
+    open_calls = {name: calls - after_sim.get(name, 0) for name, calls in after_open.items()}
     assert RealTimeScheduler.__dict__["schedule"] is original_schedule
     assert [name for name in SOCKET_SPANS if not socket_calls.get(name)] == []
     assert [name for name in SIM_SPANS if not sim_calls.get(name)] == []
+    assert [name for name in OPEN_LOOP_SPANS if not open_calls.get(name)] == []

@@ -1,6 +1,9 @@
 """Integration tests: checkpoint-driven state transfer (dark replicas, recovery)."""
 
+import pytest
+
 from repro.config import SystemConfig, TimerConfig
+from repro.consensus.pbft.replica import PbftReplica
 from repro.core.replica import RingBftReplica
 from repro.engine import Deployment
 from repro.faults.injector import FaultInjector
@@ -9,7 +12,7 @@ from repro.txn.transaction import TransactionBuilder
 from tests.conftest import small_workload
 
 
-def _cluster(checkpoint_interval=2, num_shards=1):
+def _cluster(checkpoint_interval=2, num_shards=1, replica_class=RingBftReplica):
     timers = TimerConfig(
         local_timeout=1.0,
         remote_timeout=2.0,
@@ -21,7 +24,7 @@ def _cluster(checkpoint_interval=2, num_shards=1):
         num_shards, 4, timers=timers, workload=small_workload()
     )
     return Deployment.build(
-        config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1
+        config, backend="sim", replica_class=replica_class, num_clients=1, batch_size=1
     )
 
 
@@ -109,6 +112,25 @@ class TestDarkReplicaCatchUp:
         reference = cluster.replica(0, 1)
         assert recovered.state_transfers_completed >= 1
         assert recovered.last_executed >= reference.last_executed - 2 * 2
+
+    @pytest.mark.parametrize("replica_class", [PbftReplica, RingBftReplica])
+    def test_adopted_state_leaves_no_lock_continuation_behind(self, replica_class):
+        # Batches the recovered replica committed while it lagged wait for
+        # locks; the snapshot covers them, so their continuations must go too.
+        cluster = _cluster(checkpoint_interval=2, replica_class=replica_class)
+        injector = FaultInjector(cluster)
+        injector.crash_replica(0, 2)
+        for i in range(6):
+            cluster.submit(_txn(cluster, 0, i, f"orphan-{i}"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        injector.recover_replica(0, 2)
+        for i in range(30):
+            cluster.submit(_txn(cluster, 0, i % 8, f"orphan-after-{i}"))
+        assert cluster.run_until_clients_done(timeout=240.0)
+        cluster.run(duration=cluster.simulator.now + 10.0)
+        assert cluster.replica(0, 2).state_transfers_completed >= 1
+        for replica in cluster.shard_replicas(0):
+            assert replica.retained_state()["lock_continuations"] == 0
 
 
 class TestStateTransferSafety:

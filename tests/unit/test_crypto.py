@@ -1,5 +1,8 @@
 """Unit tests for the authenticated-communication substrate."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.common.crypto import (
@@ -103,6 +106,18 @@ class TestMacAuthenticator:
         bob = MacAuthenticator(owner="bob", keystore=store)
         tag = alice.tag("bob", b"hello")
         assert not bob.verify("alice", b"bye", tag)
+
+    def test_tags_are_plain_hmac_sha256_bytes(self):
+        # Tags ride on the wire and are verified by other processes: the
+        # bytes are HMAC-SHA256 under the pairwise key, pinned for one key.
+        store = KeyStore()
+        alice = MacAuthenticator(owner="alice", keystore=store)
+        key = store.mac_key("alice", "bob")
+        assert key == hmac.new(b"ringbft-repro", b"mac|alice|bob", hashlib.sha256).digest()
+        tag = alice.tag("bob", b"hello")
+        assert tag == hmac.new(key, b"hello", hashlib.sha256).digest()
+        assert tag.hex() == "77f16a518c7455687faf1334d448cb369483772eeb1a39f6a6724391299c7d60"
+        assert alice.tag_vector(["bob"], b"hello") == {"bob": tag}
 
 
 class TestCertificates:

@@ -29,6 +29,21 @@ class TestSimulatorKernel:
         sim.run()
         assert fired == ["first", "second"]
 
+    def test_ties_keep_scheduling_order_across_cancellations_and_schedule_at(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        dropped = sim.schedule(1.0, fired.append, "cancelled")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule(0.5, lambda: sim.schedule_at(1.0, fired.append, "d"))
+        sim.schedule(1.0, fired.append, "c")
+        dropped.cancel()
+        dropped.cancel()
+        assert sim.pending_events == 4
+        sim.run()
+        assert fired == ["a", "b", "c", "d"]
+        assert sim.processed_events == 5 and sim.pending_events == 0
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -1,6 +1,10 @@
 """Unit tests for identifiers and deployment configuration."""
 
+import dataclasses
+
 import pytest
+
+from repro.common import codec
 
 from repro.common.types import DataItem, ReplicaId, primary_index
 from repro.config import (
@@ -24,6 +28,24 @@ class TestReplicaId:
 
     def test_string_form(self):
         assert str(ReplicaId(shard=4, index=7)) == "r7@S4"
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda r: codec.decode_canonical(codec.encode_canonical(r)),
+            lambda r: dataclasses.replace(r),
+            lambda r: dataclasses.replace(ReplicaId(0, 0), shard=r.shard, index=r.index),
+        ],
+        ids=["codec", "replace", "replace-fields"],
+    )
+    def test_cached_hash_and_string_survive_a_rebuild(self, rebuild):
+        original = ReplicaId(shard=3, index=5)
+        copy = rebuild(original)
+        assert copy == original and not copy < original and not original < copy
+        assert copy < ReplicaId(3, 6) and ReplicaId(3, 4) < copy
+        assert hash(copy) == hash(original) == hash((3, 5))
+        assert str(copy) == str(original) == "r5@S3"
+        assert [f.name for f in dataclasses.fields(copy)] == ["shard", "index"]
 
     def test_primary_candidate(self):
         assert ReplicaId(0, 0).is_primary_candidate
