@@ -6,7 +6,10 @@
 It applies ``run.py compare``'s verdicts (``run.compare_rows``) and fails only
 where a verdict can be trusted on any machine: the protocol-time rows
 (``metrics.SIM_DETERMINISTIC``) of a simulator workload are bit-deterministic
-per seed, so anything but ``same`` there is a behaviour change.  Host-time rows
+per seed, so anything but ``same`` there is a behaviour change.  So are a
+simulator workload's ``message_counts``: a count of any message type that
+differs from the reference fails, even when every protocol-time row stays
+within its bound.  Host-time rows
 (CPU, RSS, setup time) and every socket-backend row depend on the host running
 them; they are printed as advisory and never fail the gate.
 
@@ -34,9 +37,11 @@ REPORT = run.OUT_DIR / "ringbench.json"
 def gate_rows(reference: dict, report: dict) -> tuple[list[dict], list[dict]]:
     """Split ``compare_rows(reference, report)`` into ``(failing, advisory)``.
 
-    Failing: a non-``same`` verdict on a sim workload's protocol-time row, or
-    a sim workload of the reference that the report lacks (verdict
-    ``missing``).  Advisory: every row that is not protocol time on the sim.
+    Failing: a non-``same`` verdict on a sim workload's protocol-time row, a
+    message type whose count in a sim workload differs from the reference
+    (verdict ``count A -> B``), or a sim workload of the reference that the
+    report lacks (verdict ``missing``).  Advisory: every row that is not
+    protocol time on the sim.
     """
     failing: list[dict] = []
     advisory: list[dict] = []
@@ -46,6 +51,8 @@ def gate_rows(reference: dict, report: dict) -> tuple[list[dict], list[dict]]:
     }
     for name in sorted(sim - set(report["workloads"])):
         failing.append({"workload": name, "metric": "*", "verdict": "missing"})
+    for name in sorted(sim & set(report["workloads"])):
+        failing.extend(_count_rows(name, reference["workloads"][name], report["workloads"][name]))
     for row in run.compare_rows(reference, report):
         if row["workload"] in sim and row["metric"] in metrics.SIM_DETERMINISTIC:
             if row["verdict"] != "same":
@@ -53,6 +60,21 @@ def gate_rows(reference: dict, report: dict) -> tuple[list[dict], list[dict]]:
         else:
             advisory.append(row)
     return failing, advisory
+
+
+def _count_rows(name: str, reference: dict, report: dict) -> list[dict]:
+    """One row per message type whose count differs between two summaries."""
+    before = reference.get("message_counts", {})
+    after = report.get("message_counts", {})
+    return [
+        {
+            "workload": name,
+            "metric": f"msgs.{kind}",
+            "verdict": f"count {before.get(kind, 0)} -> {after.get(kind, 0)}",
+        }
+        for kind in sorted(set(before) | set(after))
+        if before.get(kind, 0) != after.get(kind, 0)
+    ]
 
 
 def _print_rows(title: str, rows: list[dict]) -> None:
@@ -80,9 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     if moved:
         _print_rows("advisory rows that moved (never fail the gate):", moved)
     if failing:
-        _print_rows("FAILED: sim protocol-time rows that are not `same`:", failing)
+        _print_rows("FAILED: sim protocol-time rows or message counts that moved:", failing)
         return 1
-    print("\nsim protocol-time rows: all same")
+    print("\nsim protocol-time rows and message counts: all same")
     return 0
 
 
