@@ -24,7 +24,6 @@ class CrossPropose(Message):
 
     requests: tuple[ClientRequest, ...]
     batch_digest: bytes
-    global_sequence: int
 
     def wire_size(self) -> int:
         return 5408
@@ -33,10 +32,17 @@ class CrossPropose(Message):
 @register_wire_type
 @dataclass(frozen=True)
 class CrossPrepare(Message):
-    """Global prepare vote broadcast to every replica of every involved shard."""
+    """Global prepare vote broadcast to every replica of every involved shard.
+
+    ``sequence`` is the batch's slot in ``shard``'s own PBFT sequence space:
+    the primary of ``view`` in that shard claims it, and its backups echo
+    the claim.
+    """
 
     batch_digest: bytes
     shard: int
+    view: int
+    sequence: int
 
     def wire_size(self) -> int:
         return 216
@@ -45,10 +51,12 @@ class CrossPrepare(Message):
 @register_wire_type
 @dataclass(frozen=True)
 class CrossCommit(Message):
-    """Global commit vote broadcast to every replica of every involved shard."""
+    """Global commit vote broadcast to every replica of every involved shard,
+    for the batch at slot ``sequence`` of ``shard``."""
 
     batch_digest: bytes
     shard: int
+    sequence: int
 
     def wire_size(self) -> int:
         return 269

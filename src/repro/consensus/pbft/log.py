@@ -155,18 +155,18 @@ class ConsensusLog:
         )
 
     def prepared_sequences(self) -> list[tuple[int, int, bytes]]:
-        """Every (view, sequence, digest) this replica saw reach the prepared phase.
+        """Every (view, sequence, digest) marked prepared and not executed yet.
 
-        Used to build ViewChange messages: prepared-but-not-committed requests
-        must survive into the new view.
+        A slot is marked prepared on its prepare quorum: PBFT's nf Prepares,
+        or the quorum a subclass runs for the slot itself (Sharper's global
+        prepare round).  Used to build ViewChange messages:
+        prepared-but-not-committed requests must survive into the new view.
         """
-        prepared = []
-        for (view, sequence), slot in self._slots.items():
-            if slot.pre_prepare is None:
-                continue
-            digest = slot.pre_prepare.batch_digest
-            if slot.prepare_tally.reached(digest) and slot.state is not SlotState.EXECUTED:
-                prepared.append((view, sequence, digest))
+        prepared = [
+            (view, sequence, self._accepted_digest[(view, sequence)])
+            for (view, sequence), slot in self._slots.items()
+            if slot.state in (SlotState.PREPARED, SlotState.COMMITTED)
+        ]
         return sorted(prepared, key=lambda item: item[1])
 
     def pre_prepare_for(self, view: int, sequence: int) -> PrePrepare | None:
@@ -196,22 +196,14 @@ class ConsensusLog:
         sequences it covers is no longer needed (view changes restart from the
         stable checkpoint, and dark replicas catch up via state transfer).
 
-        Returns the batch digests whose evidence was dropped and that no
-        *retained* slot still references, so the caller can release the batch
+        Returns the accepted batch digests whose evidence was dropped and that
+        no *retained* slot still accepts, so the caller can release the batch
         payloads as well.  A digest that also appears above the watermark
         (e.g. re-proposed after a view change) is deliberately excluded.
         """
         self._truncated_below = max(self._truncated_below, sequence)
-        dropped: set[bytes] = set()
         for key in [k for k in self._slots if k[1] <= sequence]:
-            slot = self._slots.pop(key)
-            if slot.pre_prepare is not None:
-                dropped.add(slot.pre_prepare.batch_digest)
-        for key in [k for k in self._accepted_digest if k[1] <= sequence]:
-            del self._accepted_digest[key]
-        retained = {
-            slot.pre_prepare.batch_digest
-            for slot in self._slots.values()
-            if slot.pre_prepare is not None
-        }
-        return dropped - retained
+            del self._slots[key]
+        dropped = {d for k, d in self._accepted_digest.items() if k[1] <= sequence}
+        self._accepted_digest = {k: d for k, d in self._accepted_digest.items() if k[1] > sequence}
+        return dropped - set(self._accepted_digest.values())

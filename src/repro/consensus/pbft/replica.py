@@ -16,8 +16,10 @@ Subclasses (RingBFT, AHL, Sharper) override a small set of hooks --
 :meth:`_should_sign_commit`, :meth:`_on_locks_acquired` (or, for a batch that
 must not wait on locks, :meth:`_on_batch_committed`), and
 :meth:`_accepts_client_request` -- to layer their cross-shard machinery on top
-without touching the intra-shard core, and hand any batch they want ordered
-locally to :meth:`_admit` rather than proposing it themselves.
+without touching the intra-shard core.  They hand any batch they want ordered
+locally to :meth:`_admit` rather than proposing it themselves, and a slot
+they agree on by other means (Sharper's global rounds) to
+:meth:`_commit_slot`, the tail every committed slot takes.
 """
 
 from __future__ import annotations
@@ -691,6 +693,17 @@ class PbftReplica(Node):
             return
         if not self.log.is_committed(view, sequence, digest):
             return
+        self._commit_slot(view, sequence, digest)
+
+    def _commit_slot(self, view: int, sequence: int, digest: bytes) -> None:
+        """Commit ``digest`` at (view, sequence): the one tail of every slot.
+
+        Records the commit, cancels the slot's and its requests' timers, hands
+        the batch to the sequence-ordered ledger append, frees the window slot
+        and runs :meth:`_on_batch_committed`.  PBFT reaches it on a local
+        commit quorum; Sharper on its global one, at the slot its shard's
+        primary assigned to the batch.
+        """
         self.log.mark(view, sequence, SlotState.COMMITTED)
         self._committed_sequences.add(sequence)
         self.committed_batch_count += 1

@@ -1,11 +1,15 @@
 """Integration tests: the AHL and Sharper baseline protocols."""
 
 from repro.baselines.ahl.replica import AhlReplica
+from repro.baselines.sharper.messages import CrossPropose
 from repro.baselines.sharper.replica import SharperReplica
 from repro.common.messages import batch_digest, ClientRequest
+from repro.config import SystemConfig, TimerConfig
+from repro.engine import Deployment
+from repro.faults.injector import FaultInjector
 from repro.txn.transaction import TransactionBuilder
 
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, small_workload
 
 
 def _cross_txn(cluster, shards, txn_id):
@@ -376,9 +380,13 @@ class TestSharper:
         digest = batch_digest((request,))
         cluster.submit(txn)
         assert cluster.run_until_clients_done(timeout=120.0)
-        record = cluster.primary_of(1).sharper_record(digest)
+        primary = cluster.primary_of(1)
+        record = primary.sharper_record(digest)
         assert record is not None
-        assert record.committed and record.executed
+        assert record.committed
+        # Executed at the slot the shard's primary claimed for it.
+        assert primary.executor.already_executed(txn.txn_id)
+        assert primary.ledger.sequence_of(txn.txn_id) == record.sequence
 
     def test_multiple_cross_shard_transactions(self):
         cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
@@ -386,3 +394,106 @@ class TestSharper:
             cluster.submit(_cross_txn(cluster, (0, 1), f"sharper-multi-{i}"))
         assert cluster.run_until_clients_done(timeout=200.0)
         assert cluster.completed_transactions() == 4
+
+    def test_conflicting_concurrent_load_keeps_every_shard_consistent(self):
+        # Every cross-shard transaction writes the same record of shards 1
+        # and 2, and single-shard ones run beside them on both shards: each
+        # shard orders all of them in its own sequence space.
+        cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
+        for i in range(5):
+            cluster.submit(_cross_txn(cluster, (1, 2), f"sharper-conflict-{i}"))
+            cluster.submit(_single_txn(cluster, 1 + i % 2, f"sharper-local-{i}"))
+        assert cluster.run_until_clients_done(timeout=200.0)
+        cluster.run(duration=cluster.simulator.now + 5.0)
+        assert cluster.completed_transactions() == 10
+        for shard in (1, 2):
+            replicas = cluster.shard_replicas(shard)
+            assert cluster.ledgers_consistent(shard)
+            assert len({replica.store.state_root() for replica in replicas}) == 1
+            assert all(replica.locks.locked_key_count == 0 for replica in replicas)
+            # Five cross-shard slots, plus shard 1's three and shard 2's two local ones.
+            assert all(replica.ledger.head.sequence == 5 + 4 - shard for replica in replicas)
+
+    def test_records_stay_bounded_across_checkpoint_intervals(self):
+        config = SystemConfig.uniform(
+            3, 4, timers=TimerConfig(checkpoint_interval=2), workload=small_workload()
+        )
+        cluster = Deployment.build(
+            config, backend="sim", replica_class=SharperReplica, num_clients=1, batch_size=1
+        )
+        replicas = [replica for shard in (1, 2) for replica in cluster.shard_replicas(shard)]
+        peak = 0
+        for group in range(4):
+            for i in range(4 * group, 4 * group + 4):
+                builder = TransactionBuilder(f"sharper-gc-{i}", "client-0")
+                for shard in (1, 2):
+                    builder.read_modify_write(shard, cluster.table.local_record(shard, i), "v")
+                cluster.submit(builder.build())
+            assert cluster.run_until_clients_done(timeout=60.0)
+            peak = max([peak] + [r.retained_state()["sharper_records"] for r in replicas])
+        cluster.run(duration=cluster.simulator.now + 5.0)
+        # Sixteen transactions went through; at most one group's records
+        # were ever held at once.
+        assert peak <= 4
+        for replica in replicas:
+            assert replica.gc_runs >= 4
+            gauges = replica.retained_state()
+            # The last checkpoint covers every slot.  Straggling votes for a
+            # dropped record must not re-create it.
+            assert gauges["sharper_records"] == 0
+            assert gauges["batches"] == 0
+            # Retired digests live for two checkpoint windows.
+            assert gauges["retired_digests"] <= 2 * 2
+
+    def test_crashed_primary_of_a_non_initiator_shard_is_replaced(self):
+        # Shard 2's backups hold each proposal but never get their primary's
+        # slot claim: their claim timers replace the primary, and the new
+        # primary claims the slots.
+        cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
+        FaultInjector(cluster).crash_primary(2)
+        for i in range(3):
+            cluster.submit(_cross_txn(cluster, (1, 2), f"sharper-no-claim-{i}"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        assert cluster.completed_transactions() == 3
+        live = [replica for replica in cluster.shard_replicas(2) if not replica.crashed]
+        assert all(replica.view == 1 for replica in live)
+        assert all(replica.ledger.head.sequence == 3 for replica in live)
+        assert all(cluster.ledgers_consistent(shard) for shard in range(3))
+
+    def test_view_change_voids_an_unprepared_slot_and_the_new_primary_reclaims(self):
+        cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
+        txn = _cross_txn(cluster, (1, 2), "sharper-reclaimed")
+        request = ClientRequest(sender="client-0", transaction=txn)
+        digest = batch_digest((request,))
+        initiator = cluster.primary_of(1)
+        proposal = CrossPropose(
+            sender=initiator.replica_id, requests=(request,), batch_digest=digest
+        )
+
+        def propose_to(shard):
+            for replica in cluster.shard_replicas(shard):
+                if replica is not initiator:
+                    initiator._authenticate_for_audience(proposal, [replica.replica_id])
+                    replica.deliver(proposal)
+            if shard == initiator.shard_id:
+                initiator.deliver_loopback(proposal)
+
+        # Only shard 2 holds the proposal: it accepts slot 1 but cannot prepare.
+        propose_to(2)
+        cluster.run(duration=0.5)
+        shard2 = cluster.shard_replicas(2)
+        assert all(replica.sharper_record(digest).sequence == 1 for replica in shard2)
+        assert not any(replica.sharper_record(digest).prepared for replica in shard2)
+        # A view change in shard 2 abandons the unprepared slot ...
+        FaultInjector(cluster).crash_primary(2)
+        cluster.submit(_single_txn(cluster, 2, "sharper-local"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        live = [replica for replica in shard2 if not replica.crashed]
+        assert all(replica.view == 1 and 1 in replica._abandoned_sequences for replica in live)
+        # ... and the batch commits at the slot the new primary claimed.
+        propose_to(1)
+        cluster.run(duration=cluster.simulator.now + 5.0)
+        # Slot 2 went to the local transaction.
+        assert all(replica.ledger.sequence_of(txn.txn_id) == 3 for replica in live)
+        assert all(cluster.ledgers_consistent(shard) for shard in (1, 2))
+        assert all(replica.ledger.contains_txn(txn.txn_id) for replica in cluster.shard_replicas(1))

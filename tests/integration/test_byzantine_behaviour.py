@@ -7,7 +7,7 @@ communication, commit certificates) stop them from affecting safety.
 
 from repro.baselines.ahl.messages import Prepare2PC
 from repro.baselines.ahl.replica import AhlReplica
-from repro.baselines.sharper.messages import CrossPropose
+from repro.baselines.sharper.messages import CrossPrepare, CrossPropose
 from repro.baselines.sharper.replica import SharperReplica
 from repro.common.crypto import SignatureScheme
 from repro.common.messages import (
@@ -290,10 +290,65 @@ class TestMismatchedBatchDigest:
         requests, claimed = self._batches(cluster, (0, 1))
         initiator = cluster.primary_of(0)
         proposal = CrossPropose(
-            sender=initiator.replica_id, requests=requests, batch_digest=claimed, global_sequence=1
+            sender=initiator.replica_id, requests=requests, batch_digest=claimed
         )
         receivers = cluster.shard_replicas(1)
         self._deliver_to_all(initiator, proposal, receivers)
         for receiver in receivers:
             assert receiver.sharper_record(claimed) is None
             assert receiver.sharper_record(batch_digest(requests)) is None
+
+
+class TestSharperSlotClaims:
+    """A shard's slot for a Sharper batch is its primary's claim, checked
+    like a PrePrepare: from the current primary, at a slot holding no other
+    digest."""
+
+    def _proposed(self, cluster, txn_id):
+        """Shard 1's backups, and a cross-shard batch they hold the proposal of."""
+        request = _request(txn_id, (0, 1), cluster)
+        digest = batch_digest((request,))
+        initiator = cluster.primary_of(0)
+        proposal = CrossPropose(
+            sender=initiator.replica_id, requests=(request,), batch_digest=digest
+        )
+        backups = [r for r in cluster.shard_replicas(1) if r is not cluster.primary_of(1)]
+        for backup in backups:
+            _deliver_tagged(initiator, proposal, backup)
+        return backups, digest
+
+    def _claim(self, sender, backups, digest, sequence):
+        claim = CrossPrepare(
+            sender=sender.replica_id, batch_digest=digest, shard=1, view=0, sequence=sequence
+        )
+        for backup in backups:
+            if backup is not sender:
+                _deliver_tagged(sender, claim, backup)
+
+    def test_claim_on_a_slot_booked_for_another_digest_is_refused(self):
+        cluster = build_cluster(num_shards=2, replica_class=SharperReplica)
+        local = _request("booked", (1,), cluster)
+        cluster.client.submit(local.transaction)
+        assert cluster.run_until_clients_done(timeout=30.0)
+        booked = batch_digest((local,))
+        backups, digest = self._proposed(cluster, "double-booked")
+        self._claim(cluster.primary_of(1), backups, digest, sequence=1)
+        for backup in backups:
+            assert backup.log.accepted_digest(0, 1) == booked
+            assert backup.sharper_record(digest).sequence is None
+            assert "CrossPrepare" not in backup.stats.sent_count
+
+    def test_claim_from_a_non_primary_is_ignored(self):
+        cluster = build_cluster(num_shards=2, replica_class=SharperReplica)
+        backups, digest = self._proposed(cluster, "backup-claim")
+        self._claim(backups[0], backups, digest, sequence=1)
+        for backup in backups[1:]:
+            assert backup.sharper_record(digest).sequence is None
+            assert not backup.log.has_accepted(0, 1)
+            assert "CrossPrepare" not in backup.stats.sent_count
+        # The primary's claim on the same free slot is accepted and echoed.
+        self._claim(cluster.primary_of(1), backups, digest, sequence=1)
+        for backup in backups:
+            assert backup.sharper_record(digest).sequence == 1
+            assert backup.log.accepted_digest(0, 1) == digest
+            assert "CrossPrepare" in backup.stats.sent_count

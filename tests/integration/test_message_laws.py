@@ -5,10 +5,11 @@ at batch size 1, sends a number of messages of each type that is a closed
 form in ``s`` and ``n``; one touching a single shard runs plain PBFT in that
 shard alone, whatever the protocol and ``s``.  A batch of ``b`` such
 transactions costs what one does, except that every transaction gets its
-own ``n`` client replies.  These laws are the paper's communication-complexity
-argument made exact (linear inter-shard traffic for RingBFT against
-all-to-all for AHL and Sharper), so a change that alters what a protocol
-sends has to change this file and say why.
+own ``n`` client replies; Sharper's cross-shard path runs one global round
+per transaction, so there ``b`` cost ``b`` times one.  These laws are the
+paper's communication-complexity argument made exact (linear inter-shard
+traffic for RingBFT against all-to-all for AHL and Sharper), so a change
+that alters what a protocol sends has to change this file and say why.
 """
 
 from __future__ import annotations
@@ -121,9 +122,16 @@ def test_ahl_batch_law(s, n, b):
     assert counts == _with_replies_per_transaction(law, n, b)
 
 
-# Sharper's cross-shard path has no batch law: at b = 2 its ledgers end
-# inconsistent and at b = 4 it runs one CrossPropose round per transaction
-# (ROADMAP item 2a).  Its single-shard path is plain PBFT and does batch.
+@pytest.mark.parametrize("s,n,b", BATCH_GRID)
+def test_sharper_batch_law(s, n, b):
+    # Sharper runs one global round per cross-shard transaction (its
+    # initiator proposes each request on its own), so b transactions cost b
+    # times the law, each in its own slot of every involved shard.
+    law = _counts_for_one_all_shard_transaction(SharperReplica, s, n)
+    counts = _counts_for_one_transaction(SharperReplica, s, n, range(s), batch=b)
+    assert counts == {kind: b * count for kind, count in law.items()}
+
+
 @pytest.mark.parametrize("replica_class", [RingBftReplica, AhlReplica, SharperReplica])
 @pytest.mark.parametrize("s,n,b", BATCH_GRID)
 def test_single_shard_batch_law(replica_class, s, n, b):

@@ -228,13 +228,21 @@ MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
         sender=replica_ids,
         requests=request_tuples,
         batch_digest=digests,
-        global_sequence=sequences,
     ),
     "CrossPrepare": st.builds(
-        CrossPrepare, sender=replica_ids, batch_digest=digests, shard=shard_ids
+        CrossPrepare,
+        sender=replica_ids,
+        batch_digest=digests,
+        shard=shard_ids,
+        view=views,
+        sequence=sequences,
     ),
     "CrossCommit": st.builds(
-        CrossCommit, sender=replica_ids, batch_digest=digests, shard=shard_ids
+        CrossCommit,
+        sender=replica_ids,
+        batch_digest=digests,
+        shard=shard_ids,
+        sequence=sequences,
     ),
 }
 

@@ -15,13 +15,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 GUARDED = ("execute_batch", "_maybe_checkpoint")
 
-#: ``SharperReplica._execute_cross_shard`` executes at Sharper's private
-#: global sequence, not at a local one (ROADMAP item 2a); it is the one
-#: named exception until that item lands.
-ALLOWED = {
-    "PbftReplica._execute_fragment",
-    "SharperReplica._execute_cross_shard",
-}
+ALLOWED = {"PbftReplica._execute_fragment"}
 
 
 class _CallSites(ast.NodeVisitor):
@@ -57,7 +51,6 @@ def test_execution_and_checkpoint_run_only_in_the_one_step():
         stray = sites[name] - ALLOWED
         assert not stray, (
             f"{name}() is called outside PbftReplica._execute_fragment: {sorted(stray)}. "
-            "Route the execution through the step; the only exception is Sharper's "
-            "global-sequence path (ROADMAP item 2a)."
+            "Route the execution through the step."
         )
         assert "PbftReplica._execute_fragment" in sites[name]

@@ -46,8 +46,9 @@ class TestConsensusLogTruncation:
         """A batch re-proposed above the watermark keeps its payload alive."""
         log = ConsensusLog(quorum=3)
         shared = sha256(b"shared")
-        log.slot(0, 2).record_pre_prepare(_pre_prepare(0, 2, shared))
-        log.slot(1, 6).record_pre_prepare(_pre_prepare(1, 6, shared))
+        for view, seq in ((0, 2), (1, 6)):
+            log.slot(view, seq).record_pre_prepare(_pre_prepare(view, seq, shared))
+            log.accept(view, seq, shared)
         released = log.truncate_below(4)
         assert released == set()
         assert log.slot_count == 1
