@@ -21,6 +21,11 @@ the first involved shard (the *initiator shard*):
 
 The two rounds of global quadratic communication are precisely what the paper
 measures as Sharper's scalability limit.
+
+A lost global-round message is recovered through the client: its
+retransmission of an uncommitted request makes the initiator primary re-send
+its proposal, and each replica that receives the re-sent proposal re-sends
+its own votes for the batch.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.baselines.sharper.messages import CrossCommit, CrossPrepare, CrossPropose
 from repro.common.messages import ClientRequest, batch_digest, requests_digest
 from repro.common.quorum import Tally
+from repro.common.types import ReplicaId
 from repro.consensus.pbft.log import SlotState
 from repro.consensus.pbft.replica import PbftReplica
 
@@ -54,6 +60,13 @@ class SharperRecord:
     commit_tally: Tally[tuple[int, int]] = field(init=False, repr=False)
     prepared: bool = False
     committed: bool = False
+    #: This replica's own global-round messages for the batch, in send order
+    #: (the initiator primary's starts with its ``CrossPropose``); re-sent
+    #: with their tags when the client retransmits, since a replica that
+    #: missed them has no other way to get them.
+    sent: list[CrossPropose | CrossPrepare | CrossCommit] = field(
+        default_factory=list, repr=False
+    )
 
     def __post_init__(self) -> None:
         # Closes over the lookup, not ``self``: a record in a reference cycle
@@ -164,12 +177,22 @@ class SharperReplica(PbftReplica):
         """Accessor used by tests."""
         return self._records.get(digest)
 
-    def _broadcast_to_involved(self, record: SharperRecord, message) -> None:
-        self._authenticate_cross_shard_broadcast(message, record.involved_shards)
-        replicas = []
+    def _involved_replicas(self, record: SharperRecord) -> list[ReplicaId]:
+        replicas: list[ReplicaId] = []
         for shard in sorted(record.involved_shards):
             replicas.extend(self.directory.replicas_of(shard))
-        self.broadcast(replicas, message, include_self=True)
+        return replicas
+
+    def _broadcast_to_involved(self, record: SharperRecord, message) -> None:
+        self._authenticate_cross_shard_broadcast(message, record.involved_shards)
+        self.broadcast(self._involved_replicas(record), message, include_self=True)
+        record.sent.append(message)
+
+    def _resend(self, record: SharperRecord) -> None:
+        """Send this replica's global-round messages for ``record`` again, tags and all."""
+        replicas = self._involved_replicas(record)
+        for message in record.sent:
+            self.broadcast(replicas, message)
 
     # ------------------------------------------------------------------
     # global consensus phases
@@ -180,9 +203,10 @@ class SharperReplica(PbftReplica):
         requests = (request,)
         digest = batch_digest(requests)
         record = self._records.get(digest)
-        if (record is not None and record.requests) or (
-            request.transaction.txn_id in self._committed_txn_ids
-        ):
+        if request.transaction.txn_id in self._committed_txn_ids:
+            return
+        if record is not None and record.requests:
+            self._resend(record)
             return
         record = self._record(digest, requests, request.transaction.involved_shards)
         message = CrossPropose(sender=self.replica_id, requests=requests, batch_digest=digest)
@@ -199,6 +223,12 @@ class SharperReplica(PbftReplica):
             message.sender != self.directory.primary_of(initiator, view=0)
             and message.sender.shard != initiator
         ):
+            return
+        record = self._records.get(message.batch_digest)
+        if record is not None and record.requests and message.sender != self.replica_id:
+            # The initiator re-sent its proposal for a retransmitted request:
+            # a replica that missed this one's votes may be waiting on them.
+            self._resend(record)
             return
         record = self._record(message.batch_digest, message.requests, involved)
         # Votes may have raced ahead of the proposal; re-evaluate both quorums.

@@ -794,10 +794,21 @@ def memoized_packed_payload(obj: Any, encoder: Callable[..., bytes], values: tup
 
 
 def memoized_digest(obj: Any, build_fields: Callable[[], Any]) -> bytes:
-    """SHA-256 of the canonical payload, hashed at most once per object."""
+    """SHA-256 of the canonical payload, hashed at most once per object.
+
+    Only the digest is kept: a payload the object already memoised is hashed
+    as is (a payload hit), and any other is encoded for the hash and then
+    dropped (a payload miss).
+    """
     cached = obj.__dict__.get("_digest_memo")
     if cached is None:
-        cached = hashlib.sha256(memoized_payload(obj, build_fields)).digest()
+        payload = obj.__dict__.get("_payload_memo")
+        if payload is None:
+            payload = encode_canonical(build_fields())
+            STATS.payload_misses += 1
+        else:
+            STATS.payload_hits += 1
+        cached = hashlib.sha256(payload).digest()
         object.__setattr__(obj, "_digest_memo", cached)
         STATS.digest_misses += 1
     else:

@@ -59,7 +59,6 @@ from repro.storage.executor import ExecutionEngine, ExecutionResult
 from repro.storage.kvstore import KeyValueStore, PartitionImage
 from repro.storage.ledger import Block, Ledger
 from repro.storage.locks import LockManager
-from repro.txn.transaction import Transaction
 
 #: Delay after which a primary proposes a partially filled batch rather than
 #: waiting for it to fill completely.
@@ -791,14 +790,14 @@ class PbftReplica(Node):
         results = self.executor.execute_batch(transactions, write_sets)
         self.executed_txn_count += len(transactions)
         self.last_executed = max(self.last_executed, sequence)
-        self._maybe_checkpoint(sequence, tuple(transactions))
+        self._maybe_checkpoint(sequence)
         self._release_lock_token(digest.hex())
         return results
 
     def _reply_to_client(self, request: ClientRequest, sequence: int) -> None:
         txn = request.transaction
         if self.executor.already_executed(txn.txn_id):
-            result = dict(self.executor.result_for(txn.txn_id).writes)
+            result = self.executor.writes_of(txn.txn_id)
         else:
             result = {}
         response = ClientResponse(
@@ -870,8 +869,7 @@ class PbftReplica(Node):
     # checkpointing
     # ------------------------------------------------------------------
 
-    def _maybe_checkpoint(self, sequence: int, transactions: tuple[Transaction, ...]) -> None:
-        self.checkpoints.record_batch(sequence, transactions)
+    def _maybe_checkpoint(self, sequence: int) -> None:
         if not self.checkpoints.should_checkpoint(sequence):
             return
         # The rolling root re-digests only buckets touched since the last
@@ -954,7 +952,6 @@ class PbftReplica(Node):
             "ledger_pending": len(self._ledger_pending),
             "committed_sequences": len(self._committed_sequences),
             "committed_txn_ids": len(self._committed_txn_ids),
-            "checkpoint_batches": self.checkpoints.log_size,
             "stable_checkpoints": self.checkpoints.stable_record_count,
             "checkpoint_votes": self.checkpoints.pending_vote_count,
             "locked_keys": self.locks.locked_key_count,

@@ -87,7 +87,7 @@ def run_protocol_validation(
                 continue
             replica = deployment.replica(op.shard, 0)
             if replica.executor.already_executed(txn.txn_id):
-                written = replica.executor.result_for(txn.txn_id).writes.get(op.key, "")
+                written = replica.executor.writes_of(txn.txn_id).get(op.key, "")
                 resolved_dependencies += sum(
                     1
                     for dep_shard, dep_key in op.depends_on

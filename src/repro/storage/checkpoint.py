@@ -3,9 +3,9 @@
 A malicious primary can keep up to ``f`` non-faulty replicas "in the dark":
 they never see enough Commit messages to make progress, yet the shard as a
 whole keeps committing.  Checkpoint messages broadcast every
-``checkpoint_interval`` sequence numbers carry the state digest (and, in this
-implementation, the committed batches since the last checkpoint) so dark
-replicas can catch up, and they let all replicas truncate their message logs.
+``checkpoint_interval`` sequence numbers carry the state digest, so a dark
+replica sees that it lags and catches up through state transfer, and they let
+all replicas truncate their message logs.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from collections.abc import Hashable
 
 from repro.common.crypto import sha256
 from repro.common.quorum import Tally
-from repro.txn.transaction import Transaction
 
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """A stable checkpoint: sequence number, state digest, and the batches it covers."""
+    """A stable checkpoint: sequence number and state digest."""
 
     sequence: int
     state_digest: bytes
-    batches: tuple[tuple[int, tuple[Transaction, ...]], ...]
 
 
 @dataclass
@@ -33,9 +31,9 @@ class CheckpointStore:
     """Checkpoint bookkeeping for one replica.
 
     The store is the anchor of the stack-wide garbage collection: it keeps at
-    most ``keep_stable`` stable records, prunes its own vote and batch logs at
-    every stable checkpoint, and reports its retained sizes as gauges so a
-    sustained run can assert flat memory.
+    most ``keep_stable`` stable records, prunes its vote log at every stable
+    checkpoint, and reports its retained sizes as gauges so a sustained run
+    can assert flat memory.
     """
 
     interval: int
@@ -48,7 +46,6 @@ class CheckpointStore:
     #: those catch up through state transfer instead.
     keep_stable: int = 2
     _last_stable: int = 0
-    _batches_since: dict[int, tuple[Transaction, ...]] = field(default_factory=dict)
     #: Checkpoint votes per sequence, and per (sequence, state digest).
     _voters: Tally[int] = field(init=False, repr=False)
     _digest_voters: Tally[tuple[int, bytes]] = field(init=False, repr=False)
@@ -61,10 +58,6 @@ class CheckpointStore:
     @property
     def last_stable_sequence(self) -> int:
         return self._last_stable
-
-    def record_batch(self, sequence: int, transactions: tuple[Transaction, ...]) -> None:
-        """Remember a committed batch so it can be shipped to dark replicas."""
-        self._batches_since[sequence] = transactions
 
     def should_checkpoint(self, sequence: int) -> bool:
         """True when committing ``sequence`` must trigger a Checkpoint broadcast."""
@@ -108,21 +101,9 @@ class CheckpointStore:
             # No digest threaded through (legacy callers/tests): fall back to a
             # sequence-derived placeholder so the record is still well-formed.
             state_digest = sha256(f"stable-{sequence}".encode())
-        covered = tuple(
-            (seq, txns)
-            for seq, txns in sorted(self._batches_since.items())
-            if self._last_stable < seq <= sequence
-        )
-        record = CheckpointRecord(
-            sequence=sequence,
-            state_digest=state_digest,
-            batches=covered,
-        )
-        self._stable[sequence] = record
+        self._stable[sequence] = CheckpointRecord(sequence=sequence, state_digest=state_digest)
         self._last_stable = sequence
-        # Truncate the log: anything at or below the stable point is garbage-collected.
-        for seq in [s for s in self._batches_since if s <= sequence]:
-            del self._batches_since[seq]
+        # Votes at or below the stable point are garbage-collected.
         for seq in [s for s in self._voters.buckets() if s <= sequence]:
             self._voters.discard(seq)
         for key in [k for k in self._digest_voters.buckets() if k[0] <= sequence]:
@@ -134,15 +115,6 @@ class CheckpointStore:
 
     def stable_record(self, sequence: int) -> CheckpointRecord | None:
         return self._stable.get(sequence)
-
-    def batches_after(self, sequence: int) -> list[tuple[int, tuple[Transaction, ...]]]:
-        """Committed batches above ``sequence`` still held in the log."""
-        return [(seq, txns) for seq, txns in sorted(self._batches_since.items()) if seq > sequence]
-
-    @property
-    def log_size(self) -> int:
-        """Number of batches retained since the last stable checkpoint."""
-        return len(self._batches_since)
 
     @property
     def stable_record_count(self) -> int:

@@ -6,19 +6,27 @@ fragments in the same order, so all copies of a partition stay identical
 depend on values owned by other shards; those values arrive in the ``Sigma``
 write-sets carried by second-rotation ``Execute`` messages and are passed in
 via ``remote_values``.
+
+A replica keeps, per executed transaction, only the writes it applied, to
+answer retransmitted client requests.  They are kept as one flat
+``(key, value, key, value, ...)`` tuple: a YCSB fragment writes one key, and
+that tuple is about a third of the size of a one-entry dict.  The reads and
+the dependency set of a result go back to the caller of
+:meth:`ExecutionEngine.execute_fragment` and are not retained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import StorageError
 from repro.storage.kvstore import KeyValueStore
 from repro.txn.transaction import OpType, Transaction
 
 
-#: The dependency set of every complete result: a replica retains one result
-#: per executed transaction, so a fresh empty set each would add up.
+#: The dependency set of every complete result; one shared empty set instead
+#: of a fresh one per executed fragment.
 _NO_MISSING: frozenset[tuple[int, str]] = frozenset()
 
 
@@ -44,7 +52,10 @@ class ExecutionEngine:
 
     shard_id: int
     store: KeyValueStore
-    _executed: dict[str, ExecutionResult] = field(default_factory=dict)
+    #: txn id -> the writes its fragment applied here, flattened to
+    #: ``(key, value, ...)``; empty for a transaction adopted through state
+    #: transfer.
+    _executed: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def already_executed(self, txn_id: str) -> bool:
         return txn_id in self._executed
@@ -61,15 +72,23 @@ class ExecutionEngine:
         requests be answered from the adopted state.
         """
         for txn_id in txn_ids:
-            self._executed.setdefault(
-                txn_id,
-                ExecutionResult(txn_id=txn_id, shard_id=self.shard_id, reads={}, writes={}),
-            )
+            self._executed.setdefault(txn_id, ())
+
+    def writes_of(self, txn_id: str) -> dict[str, str]:
+        """The writes ``txn_id``'s fragment applied here, as a fresh dict."""
+        flat = self._executed.get(txn_id)
+        if flat is None:
+            raise StorageError(f"transaction {txn_id!r} has not been executed on shard {self.shard_id}")
+        return dict(zip(flat[::2], flat[1::2]))
 
     def result_for(self, txn_id: str) -> ExecutionResult:
-        if txn_id not in self._executed:
-            raise StorageError(f"transaction {txn_id!r} has not been executed on shard {self.shard_id}")
-        return self._executed[txn_id]
+        """The retained part of an executed fragment's result: its writes.
+
+        ``reads`` is empty and ``missing_dependencies`` is not kept.
+        """
+        return ExecutionResult(
+            txn_id=txn_id, shard_id=self.shard_id, reads={}, writes=self.writes_of(txn_id)
+        )
 
     def execute_fragment(
         self,
@@ -80,11 +99,11 @@ class ExecutionEngine:
 
         ``remote_values`` maps shard -> {key -> value} and supplies the values
         needed by operations with cross-shard dependencies.  Execution is
-        idempotent: re-executing a transaction returns the stored result,
-        which is how replicas answer retransmitted client requests.
+        idempotent: re-executing a transaction applies nothing and returns
+        :meth:`result_for` (the stored writes, no reads).
         """
         if txn.txn_id in self._executed:
-            return self._executed[txn.txn_id]
+            return self.result_for(txn.txn_id)
         remote_values = remote_values or {}
         reads: dict[str, str] = {}
         writes: dict[str, str] = {}
@@ -117,7 +136,7 @@ class ExecutionEngine:
             writes=writes,
             missing_dependencies=frozenset(missing) if missing else _NO_MISSING,
         )
-        self._executed[txn.txn_id] = result
+        self._executed[txn.txn_id] = tuple(chain.from_iterable(writes.items()))
         return result
 
     def execute_batch(

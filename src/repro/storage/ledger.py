@@ -47,14 +47,16 @@ class Block:
         }
 
     def header_bytes(self) -> bytes:
-        return codec.memoized_payload(self, self._header_fields)
+        """Canonical header encoding, built on each call (not memoised)."""
+        return codec.encode_canonical(self._header_fields())
 
     def block_hash(self) -> bytes:
         """Hash of the immutable header, computed at most once per object.
 
         Chain validation, ledger appends (parent hash), and the deployment's
         consistency sweeps all re-ask for block hashes; memoisation turns the
-        repeated header re-serialisations into dictionary lookups.
+        repeated header re-serialisations into dictionary lookups.  Only the
+        32-byte digest is kept on the block, not the header bytes.
         """
         return codec.memoized_digest(self, self._header_fields)
 

@@ -388,6 +388,24 @@ class TestSharper:
         assert primary.executor.already_executed(txn.txn_id)
         assert primary.ledger.sequence_of(txn.txn_id) == record.sequence
 
+    def test_a_lost_proposal_is_sent_again_on_retransmission(self):
+        # Shard 2 misses the proposal and shard 1's votes for the first
+        # second; the client's retransmission makes every replica re-send
+        # its own messages for the batch once the link heals.
+        cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
+        injector = FaultInjector(cluster)
+        injector.block_cross_shard_link(1, 2)
+        injector.heal_cross_shard_link(1, 2, at=1.0)
+        txn = _cross_txn(cluster, (1, 2), "sharper-lost-propose")
+        cluster.submit(txn)
+        assert cluster.run_until_clients_done(timeout=120.0)
+        cluster.run(duration=cluster.simulator.now + 5.0)
+        assert cluster.completed_transactions() == 1
+        for shard in (1, 2):
+            assert cluster.ledgers_consistent(shard)
+            for replica in cluster.shard_replicas(shard):
+                assert replica.executor.already_executed(txn.txn_id)
+
     def test_multiple_cross_shard_transactions(self):
         cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
         for i in range(4):

@@ -24,9 +24,18 @@ class TestExecutionEngine:
         engine, store = _engine()
         txn = TransactionBuilder("t1", "c").read_modify_write(0, "user1", "v").build()
         first = engine.execute_fragment(txn)
+        version = store.version("user1")
         second = engine.execute_fragment(txn)
-        assert first is second
-        assert store.version("user1") == 1
+        assert second.writes == first.writes == {"user1": "v"}
+        # Nothing was applied twice.
+        assert store.version("user1") == version == 1
+
+    def test_only_the_writes_are_retained(self):
+        engine, _ = _engine()
+        txn = TransactionBuilder("t1", "c").read_modify_write(0, "user1", "v").build()
+        assert engine.execute_fragment(txn).reads == {"user1": "init"}
+        assert engine.writes_of("t1") == {"user1": "v"}
+        assert engine.result_for("t1").reads == {}
 
     def test_only_local_fragment_is_executed(self):
         engine, store = _engine()
@@ -95,15 +104,11 @@ class TestExecutionEngine:
 
         with pytest.raises(StorageError):
             engine.result_for("ghost")
+        with pytest.raises(StorageError):
+            engine.writes_of("ghost")
 
 
 class TestCheckpointStore:
-    def _txns(self, prefix, count):
-        return tuple(
-            TransactionBuilder(f"{prefix}-{i}", "c").read_modify_write(0, "user1", "v").build()
-            for i in range(count)
-        )
-
     def test_should_checkpoint_every_interval(self):
         checkpoints = CheckpointStore(interval=10, quorum=3)
         assert checkpoints.should_checkpoint(10)
@@ -113,8 +118,6 @@ class TestCheckpointStore:
 
     def test_checkpoint_becomes_stable_with_quorum(self):
         checkpoints = CheckpointStore(interval=5, quorum=3)
-        for seq in range(1, 6):
-            checkpoints.record_batch(seq, self._txns(f"b{seq}", 2))
         assert not checkpoints.add_vote(5, "r0")
         assert not checkpoints.add_vote(5, "r1")
         assert checkpoints.add_vote(5, "r2")
@@ -124,25 +127,6 @@ class TestCheckpointStore:
         checkpoints = CheckpointStore(interval=5, quorum=2)
         assert not checkpoints.add_vote(5, "r0")
         assert not checkpoints.add_vote(5, "r0")
-
-    def test_stable_checkpoint_truncates_log(self):
-        checkpoints = CheckpointStore(interval=3, quorum=3)
-        for seq in range(1, 7):
-            checkpoints.record_batch(seq, self._txns(f"b{seq}", 1))
-        for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(3, replica)
-        assert checkpoints.log_size == 3  # batches 4-6 remain
-        assert [seq for seq, _ in checkpoints.batches_after(3)] == [4, 5, 6]
-
-    def test_stable_record_covers_batches_since_previous_checkpoint(self):
-        checkpoints = CheckpointStore(interval=2, quorum=3)
-        checkpoints.record_batch(1, self._txns("a", 1))
-        checkpoints.record_batch(2, self._txns("b", 1))
-        for replica in ("r0", "r1", "r2"):
-            checkpoints.add_vote(2, replica)
-        record = checkpoints.stable_record(2)
-        assert record is not None
-        assert [seq for seq, _ in record.batches] == [1, 2]
 
     def test_old_checkpoints_do_not_regress_stability(self):
         checkpoints = CheckpointStore(interval=2, quorum=3)

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event kernel, WAN model, network, and node runtime."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.common.messages import Checkpoint
@@ -99,6 +103,91 @@ class TestSimulatorKernel:
         c = Simulator(seed=8).rng.random()
         assert a == b
         assert a != c
+
+
+class TestCalendarRetention:
+    """Cancelled timers release their callbacks, and the heap compacts in order."""
+
+    def test_calendar_stays_bounded_under_cancel_churn(self):
+        sim = Simulator()
+        rng = random.Random(5)
+        live = []
+        for i in range(10_000):
+            live.append(sim.schedule(30.0 + rng.random() * 90.0, lambda: None))
+            if i % 100:
+                live.pop(rng.randrange(len(live))).cancel()
+            assert sim.calendar_size <= 2 * sim.pending_events + 256
+        assert sim.pending_events == 100
+        sim.run()
+        assert sim.processed_events == 100 and sim.calendar_size == 0
+
+    def test_cancel_releases_the_callback_and_its_arguments(self):
+        class Callback:
+            def __call__(self, arg):
+                pass
+
+        class Arg:
+            pass
+
+        sim = Simulator()
+        callback, arg = Callback(), Arg()
+        callback_ref, arg_ref = weakref.ref(callback), weakref.ref(arg)
+        handle = sim.schedule(60.0, callback, arg)
+        del callback, arg
+        gc.collect()
+        assert callback_ref() is not None and arg_ref() is not None
+        handle.cancel()
+        gc.collect()
+        assert callback_ref() is None and arg_ref() is None
+        assert handle.callback is None and handle.cancelled
+        assert sim.calendar_size == 1  # the entry itself waits to surface
+
+    def test_firing_order_matches_a_sorted_model_across_compactions(self):
+        sim = Simulator()
+        rng = random.Random(11)
+        scheduled = {}  # scheduling order -> (time, handle)
+        cancelled = set()
+        fired = []
+        compactions = 0
+
+        def add(at):
+            seq = len(scheduled)
+            if rng.random() < 0.5:
+                handle = sim.schedule(at - sim.now, on_fire, seq)
+            else:
+                handle = sim.schedule_at(at, on_fire, seq)
+            scheduled[seq] = (at, handle)
+
+        def cancel_some(count):
+            nonlocal compactions
+            for _ in range(count):
+                seq = rng.randrange(len(scheduled))
+                handle = scheduled[seq][1]
+                if handle.cancelled or handle.fired:
+                    continue
+                before = sim.calendar_size
+                handle.cancel()
+                cancelled.add(seq)
+                compactions += sim.calendar_size < before
+
+        def on_fire(seq):
+            fired.append(seq)
+            # Whole-number times make ties common; some land at ``now``.
+            for _ in range(rng.randrange(3)):
+                add(sim.now + rng.randrange(4))
+            cancel_some(rng.randrange(3))
+
+        for _ in range(1_500):
+            add(float(rng.randrange(40)))
+            cancel_some(1 if rng.random() < 0.7 else 0)
+        sim.run(until=1_000.0)
+
+        expected = sorted(
+            (seq for seq in scheduled if seq not in cancelled),
+            key=lambda seq: (scheduled[seq][0], seq),
+        )
+        assert fired == expected
+        assert compactions >= 1
 
 
 class TestRegions:

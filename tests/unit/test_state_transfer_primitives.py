@@ -56,7 +56,7 @@ class TestExecutorAdoption:
         engine = ExecutionEngine(0, store)
         engine.execute_fragment(_txn("t1"))
         engine.mark_executed(["t1"])
-        assert engine.result_for("t1").writes  # the real result survives
+        assert engine.writes_of("t1")  # the real writes survive
 
 
 class TestLedgerAdoption:
