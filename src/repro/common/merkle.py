@@ -1,16 +1,26 @@
-"""Merkle tree used to compute per-block transaction roots (Section 7).
+"""Merkle trees for per-block transaction roots and replica state roots.
 
 Each block in a shard's partial blockchain stores either the full batch of
-transactions or only their Merkle root; the root is computed by pair-wise
-hashing leaf digests up to a single root.  Inclusion proofs allow light
-verification that a transaction belongs to a committed block.
+transactions or only their Merkle root (Section 7); the root is computed by
+pair-wise hashing leaf digests up to a single root.  Inclusion proofs allow
+light verification that a transaction belongs to a committed block.
+
+A replica's state root (checkpoint digests) is a :class:`BucketedDigest`: a
+Merkle root over a fixed number of key buckets, each digested as its leaves
+in key order, ``|``-joined.  The shared read-only part of the state is one
+:class:`LeafBuckets` per shard that stores each bucket as a single blob of
+exactly those bytes; a replica's own keys are spliced into the blob of each
+bucket they touched when a root is requested.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from array import array
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
+from itertools import accumulate, count
+from operator import add
 from zlib import crc32
 
 from repro.common.crypto import sha256
@@ -104,35 +114,79 @@ def merkle_root(leaves: list[bytes] | tuple[bytes, ...]) -> bytes:
     return MerkleTree(leaves).root
 
 
-def bucket_digest(leaves: Iterable[bytes]) -> bytes:
-    """Digest of one bucket: its leaves in key order, ``|``-joined."""
-    return sha256(b"|".join(leaves))
+#: Given one bucket's keys in sorted order, their current leaves in that order.
+LeafSource = Callable[[Sequence[str]], Iterable[bytes]]
+
+
+def _no_leaves(keys: Sequence[str]) -> Iterable[bytes]:
+    return ()
 
 
 @dataclass(frozen=True)
 class LeafBuckets:
     """A read-only keyed leaf set split into digest buckets, digested once.
 
-    ``leaves[b]`` maps every key of bucket ``b`` to its leaf bytes, in key
-    order; ``digests[b]`` is that bucket's :func:`bucket_digest`.  Many
-    :class:`BucketedDigest` instances can share one base: none of them can
-    write to it.
+    Bucket ``b`` is three immutable parts: ``keys[b]``, its keys in sorted
+    order; ``blobs[b]``, exactly the bytes its digest covers (its leaves in
+    key order, ``|``-joined); and ``starts[b]``, a read-only view of where
+    each leaf starts in the blob plus an end sentinel, so leaf ``i`` is
+    ``blobs[b][starts[b][i]:starts[b][i + 1] - 1]``.  ``digests[b]`` is
+    ``sha256(blobs[b])``.  The blob is the only per-key byte string kept: no
+    leaf object and no per-key dict slot.  Many :class:`BucketedDigest`
+    instances share one base; none of them can write to it.
     """
 
-    leaves: tuple[Mapping[str, bytes], ...]
+    keys: tuple[tuple[str, ...], ...]
+    blobs: tuple[bytes, ...]
+    starts: tuple[memoryview, ...]
     digests: tuple[bytes, ...]
 
     @classmethod
-    def of(cls, leaves: Mapping[str, bytes], num_buckets: int = 64) -> "LeafBuckets":
+    def of(cls, keys: Iterable[str], leaves: LeafSource, num_buckets: int = 64) -> LeafBuckets:
+        """Bucket ``keys`` and lay out each bucket's ``leaves`` as one blob."""
         if num_buckets < 1:
             raise LedgerError("BucketedDigest needs at least one bucket")
-        buckets: list[dict[str, bytes]] = [{} for _ in range(num_buckets)]
-        for key in sorted(leaves):
-            buckets[crc32(key.encode()) % num_buckets][key] = leaves[key]
+        grouped: list[list[str]] = [[] for _ in range(num_buckets)]
+        for key in keys:
+            grouped[crc32(key.encode()) % num_buckets].append(key)
+        blobs: list[bytes] = []
+        starts: list[memoryview] = []
+        for bucket in grouped:
+            bucket.sort()
+            bucket_leaves = list(leaves(bucket))
+            blobs.append(b"|".join(bucket_leaves))
+            # Leaf i starts after the i leaves and i separators before it.
+            offsets = accumulate(map(len, bucket_leaves), initial=0)
+            starts.append(memoryview(array("I", map(add, offsets, count())).tobytes()).cast("I"))
         return cls(
-            tuple(MappingProxyType(bucket) for bucket in buckets),
-            tuple(bucket_digest(bucket.values()) for bucket in buckets),
+            tuple(map(tuple, grouped)), tuple(blobs), tuple(starts), tuple(map(sha256, blobs))
         )
+
+
+def _splice(
+    base: LeafBuckets, bucket: int, own: Sequence[str], leaves: Iterable[bytes]
+) -> list[bytes | memoryview]:
+    """Pieces that ``|``-join to ``bucket``'s blob with ``own`` keys' leaves in.
+
+    An own key that the base holds replaces its leaf; any other is inserted
+    at its key-order position.  The base leaves between two own keys stay
+    one zero-copy slice of the blob, so the Python work is O(len(own)).
+    """
+    keys, starts = base.keys[bucket], base.starts[bucket]
+    blob = memoryview(base.blobs[bucket])
+    size = len(keys)
+    pieces: list[bytes | memoryview] = []
+    done = 0  # base leaves [0, done) are in ``pieces`` or replaced
+    for key, leaf in zip(own, leaves, strict=True):
+        # Dense runs of own keys skip the search: the next base key is it.
+        at = done if done == size or keys[done] >= key else bisect_left(keys, key, done + 1)
+        if at > done:
+            pieces.append(blob[starts[done] : starts[at] - 1])
+        pieces.append(leaf)
+        done = at + 1 if at < size and keys[at] == key else at
+    if done < size:
+        pieces.append(blob[starts[done] :])
+    return pieces
 
 
 class BucketedDigest:
@@ -140,46 +194,45 @@ class BucketedDigest:
 
     Keys hash into a fixed set of buckets (CRC32, deterministic across
     processes so every replica partitions identically); each bucket digests
-    its key-sorted entries, and the state root is the Merkle root over the
-    bucket digests.  Mutations mark only the owning bucket dirty, so a root
-    request re-canonicalizes the touched buckets instead of the whole store.
+    its key-sorted leaves, ``|``-joined, and the state root is the Merkle
+    root over the bucket digests.
 
     The entries are a read-only ``base`` (shared, digested once) overlaid
-    with this instance's own leaves; a dirty bucket is re-digested as the
-    base bucket with the own leaves on top.  The root is a pure function of
-    that entry set: a replica that arrived at a state incrementally and one
-    that bulk-installed it via state transfer compute the same root.
+    with this instance's own keys.  The digest stores no leaf bytes: it
+    records which own keys each bucket holds, and :meth:`root` asks a
+    :data:`LeafSource` for their current leaves and splices them into the
+    base blob of each bucket touched since the last root.  A root therefore
+    costs O(own keys in the dirty buckets) Python steps plus one join and
+    one hash per dirty bucket.  It is a pure function of the entry set: a
+    replica that arrived at a state incrementally and one that
+    bulk-installed it via state transfer compute the same root.
     """
 
     def __init__(self, num_buckets: int = 64, *, base: LeafBuckets | None = None) -> None:
         if base is None:
-            base = LeafBuckets.of({}, num_buckets)
-        elif len(base.leaves) != num_buckets:
-            raise LedgerError(f"base has {len(base.leaves)} buckets, not {num_buckets}")
+            base = LeafBuckets.of((), _no_leaves, num_buckets)
+        elif len(base.blobs) != num_buckets:
+            raise LedgerError(f"base has {len(base.blobs)} buckets, not {num_buckets}")
         self._num_buckets = num_buckets
-        self._base = base.leaves
-        self._entries: list[dict[str, bytes]] = [{} for _ in range(num_buckets)]
+        self._base = base
+        self._own: list[list[str]] = [[] for _ in range(num_buckets)]
         self._digests: list[bytes] = list(base.digests)
         self._dirty: set[int] = set()
 
-    def update(self, key: str, leaf: bytes) -> None:
-        """Set ``key``'s leaf bytes and mark its bucket for re-digesting."""
+    def update(self, key: str) -> None:
+        """Record ``key`` as an own key and mark its bucket for re-digesting."""
         bucket = crc32(key.encode()) % self._num_buckets
-        self._entries[bucket][key] = leaf
+        own = self._own[bucket]
+        at = bisect_left(own, key)
+        if at == len(own) or own[at] != key:
+            own.insert(at, key)
         self._dirty.add(bucket)
 
-    def root(self) -> bytes:
-        """Current state root; costs O(entries in dirty buckets) to refresh."""
+    def root(self, leaves: LeafSource) -> bytes:
+        """Current state root, with every own key's leaf taken from ``leaves``."""
         for bucket in self._dirty:
-            own = self._entries[bucket]
-            base = self._base[bucket]
-            if own.keys() <= base.keys():
-                # Overwrites only: the base is already in key order.
-                leaves = [own.get(key, leaf) for key, leaf in base.items()]
-            else:
-                merged = {**base, **own}
-                leaves = [merged[key] for key in sorted(merged)]
-            self._digests[bucket] = bucket_digest(leaves)
+            own = self._own[bucket]
+            self._digests[bucket] = sha256(b"|".join(_splice(self._base, bucket, own, leaves(own))))
         self._dirty.clear()
         return merkle_root(self._digests)
 

@@ -13,7 +13,8 @@ that the owner shard of any key can be computed locally by any replica
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from types import MappingProxyType
 from typing import Any
 
@@ -29,18 +30,23 @@ def ycsb_key(index: int) -> str:
 _EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
-def _leaf(key: str, value: str, version: int) -> bytes:
-    return f"{key}={value}#{version}".encode()
+def _leaves(keys: Iterable[str], values: Iterable[str], versions: Iterable[int]) -> list[bytes]:
+    """State-root leaves ``key=value#version``, one per key, in order."""
+    return [f"{key}={value}#{version}".encode() for key, value, version in zip(keys, values, versions)]
 
 
 class PartitionImage:
-    """A read-only partition: records, their versions, and digested leaves.
+    """A read-only partition: records, their versions, and their digest.
 
     Built once per shard and shared by every replica of it; each replica's
-    :class:`KeyValueStore` keeps only its own writes on top.  Every mapping
-    here is a ``MappingProxyType`` and every sequence a tuple, so a write
-    cannot leak into the image -- it would corrupt every replica of the
-    shard identically, which no divergence check could see.
+    :class:`KeyValueStore` keeps only its own writes on top.  ``buckets``
+    holds each digest bucket as one blob of its leaves (see
+    :class:`~repro.common.merkle.LeafBuckets`), built straight from the
+    records, so the digest adds a few bytes per record beyond the records
+    themselves.  Every mapping here is a ``MappingProxyType``, every
+    sequence a tuple or ``bytes`` and every offset table a read-only view,
+    so a write cannot leak into the image -- it would corrupt every replica
+    of the shard identically, which no divergence check could see.
     """
 
     __slots__ = ("records", "versions", "buckets")
@@ -51,9 +57,11 @@ class PartitionImage:
         self.records: Mapping[str, str] = MappingProxyType(records)
         #: Only the non-zero versions (keys written before the image was taken).
         self.versions: Mapping[str, int] = MappingProxyType(versions)
-        self.buckets = LeafBuckets.of(
-            {key: _leaf(key, value, versions.get(key, 0)) for key, value in records.items()}
-        )
+
+        def leaves(keys: Sequence[str]) -> list[bytes]:
+            return _leaves(keys, map(records.__getitem__, keys), map(versions.get, keys, repeat(0)))
+
+        self.buckets = LeafBuckets.of(records, leaves)
 
 
 class KeyValueStore:
@@ -100,7 +108,7 @@ class KeyValueStore:
         version = self.version(key) + 1
         self._data[key] = value
         self._version[key] = version
-        self._rolling.update(key, _leaf(key, value, version))
+        self._rolling.update(key)
 
     def version(self, key: str) -> int:
         """Number of committed writes applied to ``key`` (0 for never-written)."""
@@ -110,11 +118,14 @@ class KeyValueStore:
     def state_root(self) -> bytes:
         """Rolling merkleized digest of the full state.
 
-        Incrementally maintained by :meth:`write`; a root request re-digests
-        only the buckets touched since the last call, over the image's leaves
-        with this replica's own on top.
+        :meth:`write` marks the key's bucket; a root request re-digests only
+        the buckets touched since the last call, splicing the current leaves
+        of this replica's own keys in those buckets into the image's blobs.
         """
-        return self._rolling.root()
+        return self._rolling.root(self._own_leaves)
+
+    def _own_leaves(self, keys: Sequence[str]) -> list[bytes]:
+        return _leaves(keys, map(self._data.__getitem__, keys), map(self._version.__getitem__, keys))
 
     def items(self) -> dict[str, str]:
         return {**self._base, **self._data}

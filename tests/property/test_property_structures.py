@@ -1,10 +1,13 @@
 """Property-based tests for the core data structures (hypothesis)."""
 
+from zlib import crc32
+
 from hypothesis import given, settings, strategies as st
 
-from repro.common.crypto import KeyStore, SignatureScheme
-from repro.common.merkle import MerkleTree
+from repro.common.crypto import KeyStore, SignatureScheme, sha256
+from repro.common.merkle import BucketedDigest, LeafBuckets, MerkleTree, merkle_root
 from repro.common.quorum import QuorumSpec, max_faulty
+from repro.storage.kvstore import KeyValueStore, PartitionImage
 from repro.storage.ledger import Ledger
 from repro.txn.ring import RingTopology
 from repro.txn.transaction import TransactionBuilder
@@ -34,6 +37,70 @@ class TestMerkleProperties:
     @given(leaves=leaves_strategy)
     def test_root_is_deterministic(self, leaves):
         assert MerkleTree(leaves).root == MerkleTree(leaves).root
+
+
+def reference_root(leaves: dict[str, bytes], num_buckets: int) -> bytes:
+    """Each bucket is sha256 of its leaves in key order, ``|``-joined; the
+    root is the Merkle root over the buckets."""
+    buckets: list[list[str]] = [[] for _ in range(num_buckets)]
+    for key in leaves:
+        buckets[crc32(key.encode()) % num_buckets].append(key)
+    return merkle_root([sha256(b"|".join(leaves[k] for k in sorted(b))) for b in buckets])
+
+
+def reference_leaf(key: str, value: str, version: int) -> bytes:
+    return f"{key}={value}#{version}".encode()
+
+
+# Few, short keys so that overwrites, inserts and empty buckets all occur.
+digest_keys = st.text(alphabet="ab|=#:é", min_size=1, max_size=3)
+leaf_maps = st.dictionaries(digest_keys, st.binary(max_size=8), max_size=24)
+
+
+class TestBucketedDigestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_buckets=st.sampled_from((1, 2, 64)),
+        base=leaf_maps,
+        rounds=st.lists(leaf_maps, max_size=4),
+    )
+    def test_spliced_root_equals_the_reference(self, num_buckets, base, rounds):
+        # Every round overwrites base keys and inserts absent ones; a root
+        # is taken after each round (and once more, unchanged).
+        digest = BucketedDigest(
+            num_buckets, base=LeafBuckets.of(base, lambda ks: [base[k] for k in ks], num_buckets)
+        )
+        own: dict[str, bytes] = {}
+
+        def source(keys):
+            return [own[k] for k in keys]
+
+        assert digest.root(source) == reference_root(base, num_buckets)
+        for writes in rounds:
+            for key in writes:
+                digest.update(key)
+            own.update(writes)
+            expected = reference_root({**base, **own}, num_buckets)
+            assert digest.root(source) == expected
+            assert digest.root(source) == expected
+
+
+class TestStateRootProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        records=st.dictionaries(digest_keys, st.text(alphabet="x|=#:0", max_size=4), max_size=20),
+        versions=st.dictionaries(digest_keys, st.integers(1, 3), max_size=6),
+        writes=st.lists(st.tuples(digest_keys, st.text(alphabet="y|#", max_size=3)), max_size=20),
+    )
+    def test_store_root_equals_the_reference(self, records, versions, writes):
+        versions = {k: v for k, v in versions.items() if k in records}
+        store = KeyValueStore(0, PartitionImage(records))
+        store.replace(records, versions)
+        for key, value in writes:
+            store.write(key, value)
+            current = store.versions()
+            leaves = {k: reference_leaf(k, v, current.get(k, 0)) for k, v in store.items().items()}
+            assert store.state_root() == reference_root(leaves, 64)
 
 
 # ---------------------------------------------------------------------------

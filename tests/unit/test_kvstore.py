@@ -1,5 +1,8 @@
 """Unit tests for the partitioned YCSB-style key-value store."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.config import SystemConfig
@@ -121,14 +124,39 @@ class TestSharedImageIsolation:
 
     def test_image_is_read_only(self):
         image, _ = self._stores()
+        buckets = image.buckets
         with pytest.raises(TypeError):
             image.records["user0"] = "x"
         with pytest.raises(TypeError):
             image.versions["user0"] = 1
-        with pytest.raises(TypeError):
-            image.buckets.leaves[0]["user0"] = b"x"
-        with pytest.raises(TypeError):
-            image.buckets.leaves[0] = {}
+        for field in (buckets.keys, buckets.blobs, buckets.starts, buckets.digests):
+            assert type(field) is tuple
+            with pytest.raises(TypeError):
+                field[0] = field[1]
+        assert all(type(keys) is tuple for keys in buckets.keys)
+        assert all(type(blob) is bytes for blob in buckets.blobs)
+        for starts in buckets.starts:
+            # The view is read-only and backed by bytes, not a mutable array.
+            assert starts.readonly and type(starts.obj) is bytes
+            with pytest.raises(TypeError):
+                starts[0] = 1
+        with pytest.raises(AttributeError):
+            buckets.blobs = ()
+
+    def test_image_keeps_few_bytes_per_record_beyond_its_records(self):
+        # The digest is one blob per bucket, its offsets and its key tuples;
+        # a leaf object and a dict slot per record (about 77 B) are not kept.
+        records = {ycsb_key(i): "init" for i in range(30_000)}
+        records_dict = sys.getsizeof(dict(records))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            image = PartitionImage(records)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(image.records) == len(records)
+        assert (kept - records_dict) / len(records) <= 40
 
     def test_replace_installs_a_private_image(self):
         image, (store, other, *_) = self._stores()

@@ -72,57 +72,86 @@ class TestMerkleProofs:
         assert len(tree.proof(0).path) == 4
 
 
+def _source(leaves):
+    """A leaf source reading the current leaves from ``leaves``."""
+    return lambda keys: [leaves[key] for key in keys]
+
+
+def _base(leaves, num_buckets=64):
+    return LeafBuckets.of(leaves, _source(leaves), num_buckets)
+
+
 class TestBucketedDigest:
     def test_root_is_pure_function_of_entry_set(self):
         # Incremental arrival and bulk install must converge on one root.
+        leaves = {f"key-{i}": f"key-{i}=v{i}".encode() for i in range(50)}
         incremental = BucketedDigest()
         for i in range(50):
-            incremental.update(f"key-{i}", f"key-{i}=v{i}".encode())
-            incremental.root()  # interleave refreshes with mutations
+            incremental.update(f"key-{i}")
+            incremental.root(_source(leaves))  # interleave refreshes with mutations
         bulk = BucketedDigest()
         for i in reversed(range(50)):
-            bulk.update(f"key-{i}", f"key-{i}=v{i}".encode())
-        assert incremental.root() == bulk.root()
+            bulk.update(f"key-{i}")
+        assert incremental.root(_source(leaves)) == bulk.root(_source(leaves))
 
     def test_root_changes_with_any_leaf(self):
-        a = BucketedDigest()
-        b = BucketedDigest()
-        for digest in (a, b):
-            for i in range(10):
-                digest.update(f"key-{i}", f"key-{i}=v{i}".encode())
-        assert a.root() == b.root()
-        b.update("key-3", b"key-3=tampered")
-        assert a.root() != b.root()
+        leaves = {f"key-{i}": f"key-{i}=v{i}".encode() for i in range(10)}
+        digest = BucketedDigest()
+        for key in leaves:
+            digest.update(key)
+        before = digest.root(_source(leaves))
+        leaves["key-3"] = b"key-3=tampered"
+        digest.update("key-3")
+        assert digest.root(_source(leaves)) != before
 
     def test_only_touched_buckets_are_dirty(self):
+        leaves = {f"key-{i}": b"leaf" for i in range(100)}
         digest = BucketedDigest()
-        for i in range(100):
-            digest.update(f"key-{i}", b"leaf")
-        digest.root()
+        for key in leaves:
+            digest.update(key)
+        digest.root(_source(leaves))
         assert digest.dirty_buckets == 0
-        digest.update("key-7", b"leaf2")
+        digest.update("key-7")
         assert digest.dirty_buckets == 1
 
     def test_overlay_on_a_shared_base_matches_a_flat_digest(self):
         # Overwrites, blind inserts and a base shared by two instances all
         # reproduce the root of one digest holding the same entries.
-        base = LeafBuckets.of({f"key-{i}": f"key-{i}=v0".encode() for i in range(100)})
+        leaves = {f"key-{i}": f"key-{i}=v0".encode() for i in range(100)}
+        base = _base(leaves)
         flat = BucketedDigest()
-        for i in range(100):
-            flat.update(f"key-{i}", f"key-{i}=v0".encode())
+        for key in leaves:
+            flat.update(key)
         first = BucketedDigest(base=base)
         second = BucketedDigest(base=base)
-        assert first.root() == second.root() == flat.root()
-        for digest in (first, flat):
-            digest.update("key-3", b"key-3=v1")
-            digest.update("key-new", b"key-new=v1")
-        assert first.root() == flat.root()
-        assert second.root() != first.root()
-        assert second.root() == BucketedDigest(base=base).root()
+        own: dict[str, bytes] = {}
+        assert first.root(_source(own)) == second.root(_source(own)) == flat.root(_source(leaves))
+        own.update({"key-3": b"key-3=v1", "key-new": b"key-new=v1"})
+        for key in own:
+            first.update(key)
+            flat.update(key)
+        assert first.root(_source(own)) == flat.root(_source({**leaves, **own}))
+        assert second.root(_source(own)) != first.root(_source(own))
+        assert second.root(_source(own)) == BucketedDigest(base=base).root(_source(own))
+
+    def test_base_bucket_is_one_blob_of_the_digested_bytes(self):
+        leaves = {"b": b"b=2", "a": b"a=|1", "c": b""}
+        base = _base(leaves, num_buckets=1)
+        assert base.keys == (("a", "b", "c"),)
+        assert base.blobs == (b"a=|1|b=2|",)
+        assert base.digests == (sha256(base.blobs[0]),)
+        # Leaf i is blob[starts[i]:starts[i + 1] - 1], separators and all.
+        starts = base.starts[0]
+        assert list(starts) == [0, 5, 9, 10]
+        assert [base.blobs[0][starts[i] : starts[i + 1] - 1] for i in range(3)] == [
+            b"a=|1",
+            b"b=2",
+            b"",
+        ]
 
     def test_base_with_another_bucket_count_is_rejected(self):
         with pytest.raises(LedgerError):
-            BucketedDigest(8, base=LeafBuckets.of({}, num_buckets=4))
+            BucketedDigest(8, base=_base({}, num_buckets=4))
 
     def test_zero_buckets_rejected(self):
         with pytest.raises(LedgerError):
@@ -131,10 +160,11 @@ class TestBucketedDigest:
     def test_bucket_count_changes_partitioning_root(self):
         # The bucket count is part of the digest definition; replicas must
         # agree on it (it is a constructor constant, not negotiated state).
+        leaves = {f"key-{i}": b"leaf" for i in range(10)}
         a = BucketedDigest(num_buckets=4)
         b = BucketedDigest(num_buckets=8)
         for digest in (a, b):
-            for i in range(10):
-                digest.update(f"key-{i}", b"leaf")
-        assert len(a.root()) == 32
-        assert len(b.root()) == 32
+            for key in leaves:
+                digest.update(key)
+        assert len(a.root(_source(leaves))) == 32
+        assert len(b.root(_source(leaves))) == 32
