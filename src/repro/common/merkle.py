@@ -7,10 +7,11 @@ light verification that a transaction belongs to a committed block.
 
 A replica's state root (checkpoint digests) is a :class:`BucketedDigest`: a
 Merkle root over a fixed number of key buckets, each digested as its leaves
-in key order, ``|``-joined.  The shared read-only part of the state is one
-:class:`LeafBuckets` per shard that stores each bucket as a single blob of
-exactly those bytes; a replica's own keys are spliced into the blob of each
-bucket they touched when a root is requested.
+in key order, concatenated (every leaf ends its own encoding, so the
+concatenation parses one way).  The shared read-only part of the state is
+one :class:`LeafBuckets` per shard that stores each bucket as a single blob
+of exactly those bytes; a replica's own keys are spliced into the blob of
+each bucket they touched when a root is requested.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, count
-from operator import add
+from itertools import accumulate
 from zlib import crc32
 
 from repro.common.crypto import sha256
@@ -114,7 +114,9 @@ def merkle_root(leaves: list[bytes] | tuple[bytes, ...]) -> bytes:
     return MerkleTree(leaves).root
 
 
-#: Given one bucket's keys in sorted order, their current leaves in that order.
+#: Given one bucket's keys in sorted order, their current leaves in that
+#: order.  A leaf must be self-delimiting: a bucket digests its leaves
+#: concatenated, with nothing between them.
 LeafSource = Callable[[Sequence[str]], Iterable[bytes]]
 
 
@@ -128,9 +130,9 @@ class LeafBuckets:
 
     Bucket ``b`` is three immutable parts: ``keys[b]``, its keys in sorted
     order; ``blobs[b]``, exactly the bytes its digest covers (its leaves in
-    key order, ``|``-joined); and ``starts[b]``, a read-only view of where
+    key order, concatenated); and ``starts[b]``, a read-only view of where
     each leaf starts in the blob plus an end sentinel, so leaf ``i`` is
-    ``blobs[b][starts[b][i]:starts[b][i + 1] - 1]``.  ``digests[b]`` is
+    ``blobs[b][starts[b][i]:starts[b][i + 1]]``.  ``digests[b]`` is
     ``sha256(blobs[b])``.  The blob is the only per-key byte string kept: no
     leaf object and no per-key dict slot.  Many :class:`BucketedDigest`
     instances share one base; none of them can write to it.
@@ -147,17 +149,17 @@ class LeafBuckets:
         if num_buckets < 1:
             raise LedgerError("BucketedDigest needs at least one bucket")
         grouped: list[list[str]] = [[] for _ in range(num_buckets)]
+        appends = [bucket.append for bucket in grouped]
         for key in keys:
-            grouped[crc32(key.encode()) % num_buckets].append(key)
+            appends[crc32(key.encode()) % num_buckets](key)
         blobs: list[bytes] = []
         starts: list[memoryview] = []
         for bucket in grouped:
             bucket.sort()
             bucket_leaves = list(leaves(bucket))
-            blobs.append(b"|".join(bucket_leaves))
-            # Leaf i starts after the i leaves and i separators before it.
-            offsets = accumulate(map(len, bucket_leaves), initial=0)
-            starts.append(memoryview(array("I", map(add, offsets, count())).tobytes()).cast("I"))
+            blobs.append(b"".join(bucket_leaves))
+            offsets = array("I", accumulate(map(len, bucket_leaves), initial=0))
+            starts.append(memoryview(offsets.tobytes()).cast("I"))
         return cls(
             tuple(map(tuple, grouped)), tuple(blobs), tuple(starts), tuple(map(sha256, blobs))
         )
@@ -166,7 +168,7 @@ class LeafBuckets:
 def _splice(
     base: LeafBuckets, bucket: int, own: Sequence[str], leaves: Iterable[bytes]
 ) -> list[bytes | memoryview]:
-    """Pieces that ``|``-join to ``bucket``'s blob with ``own`` keys' leaves in.
+    """Pieces that join to ``bucket``'s blob with ``own`` keys' leaves in.
 
     An own key that the base holds replaces its leaf; any other is inserted
     at its key-order position.  The base leaves between two own keys stay
@@ -181,7 +183,7 @@ def _splice(
         # Dense runs of own keys skip the search: the next base key is it.
         at = done if done == size or keys[done] >= key else bisect_left(keys, key, done + 1)
         if at > done:
-            pieces.append(blob[starts[done] : starts[at] - 1])
+            pieces.append(blob[starts[done] : starts[at]])
         pieces.append(leaf)
         done = at + 1 if at < size and keys[at] == key else at
     if done < size:
@@ -194,7 +196,7 @@ class BucketedDigest:
 
     Keys hash into a fixed set of buckets (CRC32, deterministic across
     processes so every replica partitions identically); each bucket digests
-    its key-sorted leaves, ``|``-joined, and the state root is the Merkle
+    its key-sorted leaves, concatenated, and the state root is the Merkle
     root over the bucket digests.
 
     The entries are a read-only ``base`` (shared, digested once) overlaid
@@ -232,7 +234,7 @@ class BucketedDigest:
         """Current state root, with every own key's leaf taken from ``leaves``."""
         for bucket in self._dirty:
             own = self._own[bucket]
-            self._digests[bucket] = sha256(b"|".join(_splice(self._base, bucket, own, leaves(own))))
+            self._digests[bucket] = sha256(b"".join(_splice(self._base, bucket, own, leaves(own))))
         self._dirty.clear()
         return merkle_root(self._digests)
 

@@ -6,6 +6,13 @@ shard keeps an identical copy of that partition (Section 3, Section 8).
 Here the identical initial copy is one read-only :class:`PartitionImage` per
 shard, shared by its replicas; each replica stores only its own writes.
 
+The state root a replica puts in its checkpoints covers every record as a
+leaf ``(key, value, version)`` (see :func:`_leaves` for the bytes).  The
+image holds its leaves once, as one blob per digest bucket; a replica keeps
+no leaf bytes of its own and regenerates the leaves of its written keys
+when a root is requested, so a root costs work in proportion to those
+writes, not to the partition.
+
 Keys are strings of the form ``"user<N>"``; partitioning is by key range so
 that the owner shard of any key can be computed locally by any replica
 (needed for deterministic transactions).
@@ -31,8 +38,18 @@ _EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
 def _leaves(keys: Iterable[str], values: Iterable[str], versions: Iterable[int]) -> list[bytes]:
-    """State-root leaves ``key=value#version``, one per key, in order."""
-    return [f"{key}={value}#{version}".encode() for key, value, version in zip(keys, values, versions)]
+    """State-root leaves, one per key, in order.
+
+    A leaf is ``<len(key)>:<key><len(value)>:<value>#<version>|``, UTF-8
+    encoded, with lengths in characters.  Keys and values may hold any
+    character (``:``, ``#`` and ``|`` included), but each length says where
+    its field ends and ``|`` ends the leaf, so a bucket's concatenated
+    leaves parse one way and two different states never share a root.
+    """
+    return [
+        f"{len(key)}:{key}{len(value)}:{value}#{version}|".encode()
+        for key, value, version in zip(keys, values, versions)
+    ]
 
 
 class PartitionImage:
@@ -59,7 +76,8 @@ class PartitionImage:
         self.versions: Mapping[str, int] = MappingProxyType(versions)
 
         def leaves(keys: Sequence[str]) -> list[bytes]:
-            return _leaves(keys, map(records.__getitem__, keys), map(versions.get, keys, repeat(0)))
+            numbers = map(versions.get, keys, repeat(0)) if versions else repeat(0)
+            return _leaves(keys, map(records.__getitem__, keys), numbers)
 
         self.buckets = LeafBuckets.of(records, leaves)
 
@@ -121,6 +139,8 @@ class KeyValueStore:
         :meth:`write` marks the key's bucket; a root request re-digests only
         the buckets touched since the last call, splicing the current leaves
         of this replica's own keys in those buckets into the image's blobs.
+        It builds one leaf per own key of those buckets, plus one join and
+        one hash per bucket; the image's records cost nothing.
         """
         return self._rolling.root(self._own_leaves)
 

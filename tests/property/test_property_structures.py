@@ -40,16 +40,16 @@ class TestMerkleProperties:
 
 
 def reference_root(leaves: dict[str, bytes], num_buckets: int) -> bytes:
-    """Each bucket is sha256 of its leaves in key order, ``|``-joined; the
-    root is the Merkle root over the buckets."""
+    """Each bucket is sha256 of its leaves in key order; the root is the
+    Merkle root over the buckets."""
     buckets: list[list[str]] = [[] for _ in range(num_buckets)]
     for key in leaves:
         buckets[crc32(key.encode()) % num_buckets].append(key)
-    return merkle_root([sha256(b"|".join(leaves[k] for k in sorted(b))) for b in buckets])
+    return merkle_root([sha256(b"".join(leaves[k] for k in sorted(b))) for b in buckets])
 
 
 def reference_leaf(key: str, value: str, version: int) -> bytes:
-    return f"{key}={value}#{version}".encode()
+    return f"{len(key)}:{key}{len(value)}:{value}#{version}|".encode()
 
 
 # Few, short keys so that overwrites, inserts and empty buckets all occur.

@@ -78,10 +78,11 @@ class TestKeyValueStore:
 
 
 class TestGoldenStateRoot:
-    """The shared-image store reproduces the per-replica store's roots bit for bit.
+    """Pins the state-root definition: leaf format, buckets and Merkle root.
 
-    The hex values were computed by the earlier store, which loaded every
-    record into its own bucketed digest.
+    Every replica of a shard must compute these bytes, so a change to them
+    is a change to checkpoint digests.  They last changed when leaves became
+    length-prefixed (see :class:`TestInjectiveLeaves`).
     """
 
     def test_root_after_fixed_writes(self):
@@ -89,20 +90,32 @@ class TestGoldenStateRoot:
         store = KeyValueStore(0, PartitionImage(table.build_partition(0)))
         assert len(store) == 1000
         assert store.state_root().hex() == (
-            "3946717934a562cce4f62063fa75f0cb9d3611a2de4bdc8c9d75ab0d5cb80e0c"
+            "01a53b1c457912fcfaec360db44a8a43a32663bb9131ac28e92057daee6fa87c"
         )
         store.write("user0", "a")
         store.write("user7", "b")
         assert store.state_root().hex() == (
-            "f91f96d51bb1e2b0b66a7d8347b4d5f5807dbb594baf42d65a06a2c9bd9530d2"
+            "60223b7b56e897ac44e9a518e35c486ad7c1d685ba22374200e5959c30d4329f"
         )
         store.write("user0", "c")
         store.write("user999", "d")
         store.write("user-blind", "e")
         assert store.state_root().hex() == (
-            "a239052259fe98caf7e2b3d07edb86518b9aee316f8e023363082d3ac32a96b3"
+            "e38dcfaeea5baddb5794096c02525e732aeaeac74fc587c1a931bd31047ac4cb"
         )
         assert (store.version("user0"), store.version("user-blind"), len(store)) == (2, 1, 1001)
+
+
+class TestInjectiveLeaves:
+    def test_a_value_that_spells_another_leaf_gives_another_root(self):
+        # user0 and user135 share a bucket; with unprefixed, ``|``-joined
+        # leaves ``user0=x#0|user135=y#0`` was also the one leaf of a value
+        # ``x#0|user135=y``, so these two states shared a root.
+        common = {f"user{i}": "init" for i in range(1, 100)}
+        two = PartitionImage({**common, "user0": "x", "user135": "y"})
+        one = PartitionImage({**common, "user0": "x#0|user135=y"})
+        assert KeyValueStore(0, two).items() != KeyValueStore(0, one).items()
+        assert KeyValueStore(0, two).state_root() != KeyValueStore(0, one).state_root()
 
 
 class TestSharedImageIsolation:

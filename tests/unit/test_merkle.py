@@ -135,17 +135,17 @@ class TestBucketedDigest:
         assert second.root(_source(own)) == BucketedDigest(base=base).root(_source(own))
 
     def test_base_bucket_is_one_blob_of_the_digested_bytes(self):
-        leaves = {"b": b"b=2", "a": b"a=|1", "c": b""}
+        leaves = {"b": b"b=2;", "a": b"a=|1;", "c": b""}
         base = _base(leaves, num_buckets=1)
         assert base.keys == (("a", "b", "c"),)
-        assert base.blobs == (b"a=|1|b=2|",)
+        assert base.blobs == (b"a=|1;b=2;",)
         assert base.digests == (sha256(base.blobs[0]),)
-        # Leaf i is blob[starts[i]:starts[i + 1] - 1], separators and all.
+        # Leaf i is blob[starts[i]:starts[i + 1]].
         starts = base.starts[0]
-        assert list(starts) == [0, 5, 9, 10]
-        assert [base.blobs[0][starts[i] : starts[i + 1] - 1] for i in range(3)] == [
-            b"a=|1",
-            b"b=2",
+        assert list(starts) == [0, 5, 9, 9]
+        assert [base.blobs[0][starts[i] : starts[i + 1]] for i in range(3)] == [
+            b"a=|1;",
+            b"b=2;",
             b"",
         ]
 
