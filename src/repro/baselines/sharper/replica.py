@@ -25,7 +25,8 @@ measures as Sharper's scalability limit.
 A lost global-round message is recovered through the client: its
 retransmission of an uncommitted request makes the initiator primary re-send
 its proposal, and each replica that receives the re-sent proposal re-sends
-its own votes for the batch.
+its own votes for the batch.  A replica re-sends a record's messages at most
+once per client timeout, however many copies of one retransmission reach it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class SharperRecord:
     sent: list[CrossPropose | CrossPrepare | CrossCommit] = field(
         default_factory=list, repr=False
     )
+    #: When this replica last re-sent ``sent``.
+    resent_at: float = field(default=float("-inf"), repr=False)
 
     def __post_init__(self) -> None:
         # Closes over the lookup, not ``self``: a record in a reference cycle
@@ -189,7 +192,16 @@ class SharperReplica(PbftReplica):
         record.sent.append(message)
 
     def _resend(self, record: SharperRecord) -> None:
-        """Send this replica's global-round messages for ``record`` again, tags and all."""
+        """Send this replica's global-round messages for ``record`` again, tags and all.
+
+        One client retransmission reaches the initiator primary once per
+        copy (straight and forwarded by each backup), and each re-sent
+        proposal reaches every involved replica: at most one re-send per
+        client timeout answers one retransmission round once.
+        """
+        if self.now - record.resent_at < self.timers_config.client_timeout:
+            return
+        record.resent_at = self.now
         replicas = self._involved_replicas(record)
         for message in record.sent:
             self.broadcast(replicas, message)

@@ -392,19 +392,33 @@ class TestSharper:
         # Shard 2 misses the proposal and shard 1's votes for the first
         # second; the client's retransmission makes every replica re-send
         # its own messages for the batch once the link heals.
-        cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
-        injector = FaultInjector(cluster)
-        injector.block_cross_shard_link(1, 2)
-        injector.heal_cross_shard_link(1, 2, at=1.0)
-        txn = _cross_txn(cluster, (1, 2), "sharper-lost-propose")
-        cluster.submit(txn)
-        assert cluster.run_until_clients_done(timeout=120.0)
-        cluster.run(duration=cluster.simulator.now + 5.0)
+        def run(lossy):
+            cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
+            if lossy:
+                injector = FaultInjector(cluster)
+                injector.block_cross_shard_link(1, 2)
+                injector.heal_cross_shard_link(1, 2, at=1.0)
+            txn = _cross_txn(cluster, (1, 2), "sharper-lost-propose")
+            cluster.submit(txn)
+            assert cluster.run_until_clients_done(timeout=120.0)
+            cluster.run(duration=cluster.simulator.now + 5.0)
+            return cluster, txn
+
+        cluster, txn = run(lossy=True)
         assert cluster.completed_transactions() == 1
         for shard in (1, 2):
             assert cluster.ledgers_consistent(shard)
             for replica in cluster.shard_replicas(shard):
                 assert replica.executor.already_executed(txn.txn_id)
+        # Each retransmission round re-sends each record's messages once,
+        # not once per copy of the request or of the re-sent proposal.
+        client_sends = sum(c.stats.sent_count["ClientRequest"] for c in cluster.clients.values())
+        rounds = (client_sends - 1) // len(cluster.shard_replicas(1))
+        assert rounds >= 1
+        sent = cluster.message_counts()
+        undisturbed = run(lossy=False)[0].message_counts()
+        for kind in ("CrossPropose", "CrossPrepare", "CrossCommit"):
+            assert sent[kind] <= undisturbed[kind] * (1 + rounds), kind
 
     def test_multiple_cross_shard_transactions(self):
         cluster = build_cluster(num_shards=3, replica_class=SharperReplica)
