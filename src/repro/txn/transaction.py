@@ -76,6 +76,10 @@ _EMPTY_DEPS = codec.encode_canonical([])
 _TXN_LAYOUT = codec.compile_fixed_dict(
     {}, ("client_id", "operations", "txn_id"), raw_keys=("operations",)
 )
+#: One shared frozenset per distinct involved-shard set (at most 2^S of them
+#: for S shards), so transactions held by ledgers and records do not each
+#: keep their own copy.
+_INVOLVED: dict[frozenset[int], frozenset[int]] = {}
 
 
 @register_wire_type
@@ -105,7 +109,8 @@ class Transaction:
             shards = {op.shard for op in self.operations}
             for op in self.operations:
                 shards.update(shard for shard, _ in op.depends_on)
-            cached = frozenset(shards)
+            involved = frozenset(shards)
+            cached = _INVOLVED.setdefault(involved, involved)
             object.__setattr__(self, "_involved_memo", cached)
         return cached
 

@@ -86,6 +86,12 @@ class TestComplexTransactions:
         )
         assert txn.involved_shards == frozenset({1, 3})
 
+    def test_transactions_over_the_same_shards_share_one_set(self):
+        first = TransactionBuilder("t1", "c").write(2, "a", "v").write(0, "b", "v").build()
+        second = TransactionBuilder("t2", "c").write(0, "c", "v").write(2, "d", "v").build()
+        assert first.involved_shards is second.involved_shards
+        assert first.involved_shards is not _cross_txn().involved_shards
+
     def test_simple_cross_shard_has_no_dependencies(self):
         assert _cross_txn().is_simple
         assert _cross_txn().remote_read_count == 0
