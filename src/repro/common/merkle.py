@@ -117,10 +117,10 @@ def merkle_root(leaves: list[bytes] | tuple[bytes, ...]) -> bytes:
 #: Given one bucket's keys in sorted order, their current leaves in that
 #: order.  A leaf must be self-delimiting: a bucket digests its leaves
 #: concatenated, with nothing between them.
-LeafSource = Callable[[Sequence[str]], Iterable[bytes]]
+LeafSource = Callable[[Sequence[str]], Sequence[bytes]]
 
 
-def _no_leaves(keys: Sequence[str]) -> Iterable[bytes]:
+def _no_leaves(keys: Sequence[str]) -> Sequence[bytes]:
     return ()
 
 
@@ -156,7 +156,7 @@ class LeafBuckets:
         starts: list[memoryview] = []
         for bucket in grouped:
             bucket.sort()
-            bucket_leaves = list(leaves(bucket))
+            bucket_leaves = leaves(bucket)
             blobs.append(b"".join(bucket_leaves))
             offsets = array("I", accumulate(map(len, bucket_leaves), initial=0))
             starts.append(memoryview(offsets.tobytes()).cast("I"))

@@ -37,7 +37,24 @@ def ycsb_key(index: int) -> str:
 _EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
-def _leaves(keys: Iterable[str], values: Iterable[str], versions: Iterable[int]) -> list[bytes]:
+class _Decimal(dict[int, str]):
+    """``str(n)``, memoised for the small numbers a leaf spells out.
+
+    Turning an int into text is most of what building a leaf costs, and the
+    lengths and versions in leaves are few small numbers that repeat.
+    """
+
+    def __missing__(self, number: int) -> str:
+        text = str(number)
+        if number < 1024:
+            self[number] = text
+        return text
+
+
+_DECIMAL = _Decimal()
+
+
+def _leaves(keys: Sequence[str], values: Sequence[str], versions: Iterable[int]) -> list[bytes]:
     """State-root leaves, one per key, in order.
 
     A leaf is ``<len(key)>:<key><len(value)>:<value>#<version>|``, UTF-8
@@ -46,9 +63,14 @@ def _leaves(keys: Iterable[str], values: Iterable[str], versions: Iterable[int])
     its field ends and ``|`` ends the leaf, so a bucket's concatenated
     leaves parse one way and two different states never share a root.
     """
+    spell = _DECIMAL.__getitem__
+    key_lengths = map(spell, map(len, keys))
+    value_lengths = map(spell, map(len, values))
     return [
-        f"{len(key)}:{key}{len(value)}:{value}#{version}|".encode()
-        for key, value, version in zip(keys, values, versions)
+        f"{key_length}:{key}{value_length}:{value}#{version}|".encode()
+        for key_length, key, value_length, value, version in zip(
+            key_lengths, keys, value_lengths, values, map(spell, versions)
+        )
     ]
 
 
@@ -76,8 +98,8 @@ class PartitionImage:
         self.versions: Mapping[str, int] = MappingProxyType(versions)
 
         def leaves(keys: Sequence[str]) -> list[bytes]:
-            numbers = map(versions.get, keys, repeat(0)) if versions else repeat(0)
-            return _leaves(keys, map(records.__getitem__, keys), numbers)
+            written = map(versions.get, keys, repeat(0)) if versions else repeat(0)
+            return _leaves(keys, list(map(records.__getitem__, keys)), written)
 
         self.buckets = LeafBuckets.of(records, leaves)
 
@@ -145,7 +167,8 @@ class KeyValueStore:
         return self._rolling.root(self._own_leaves)
 
     def _own_leaves(self, keys: Sequence[str]) -> list[bytes]:
-        return _leaves(keys, map(self._data.__getitem__, keys), map(self._version.__getitem__, keys))
+        values = list(map(self._data.__getitem__, keys))
+        return _leaves(keys, values, map(self._version.__getitem__, keys))
 
     def items(self) -> dict[str, str]:
         return {**self._base, **self._data}

@@ -12,6 +12,7 @@ from repro.storage.kvstore import (
     KeyValueStore,
     PartitionImage,
     ShardedKeyValueStore,
+    _leaves,
     ycsb_key,
 )
 
@@ -116,6 +117,15 @@ class TestInjectiveLeaves:
         one = PartitionImage({**common, "user0": "x#0|user135=y"})
         assert KeyValueStore(0, two).items() != KeyValueStore(0, one).items()
         assert KeyValueStore(0, two).state_root() != KeyValueStore(0, one).state_root()
+
+
+    def test_leaf_spells_every_length_and_version(self):
+        # Lengths and versions past the memoised small numbers, and a
+        # non-ASCII key, whose length counts characters.
+        assert _leaves(["ké", "k"], ["x" * 2000, "|"], [1500, 0]) == [
+            b"2:k\xc3\xa92000:" + b"x" * 2000 + b"#1500|",
+            b"1:k1:|#0|",
+        ]
 
 
 class TestSharedImageIsolation:
