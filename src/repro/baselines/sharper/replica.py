@@ -194,10 +194,11 @@ class SharperReplica(PbftReplica):
     def _resend(self, record: SharperRecord) -> None:
         """Send this replica's global-round messages for ``record`` again, tags and all.
 
-        One client retransmission reaches the initiator primary once per
-        copy (straight and forwarded by each backup), and each re-sent
-        proposal reaches every involved replica: at most one re-send per
-        client timeout answers one retransmission round once.
+        One client retransmission reaches the initiator primary several
+        times (straight, and forwarded by each backup), and each re-sent
+        proposal reaches every involved replica.  Re-sending at most once
+        per client timeout, the client's retransmission interval, answers
+        each round once.
         """
         if self.now - record.resent_at < self.timers_config.client_timeout:
             return
