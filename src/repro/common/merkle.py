@@ -180,7 +180,8 @@ def _splice(
     pieces: list[bytes | memoryview] = []
     done = 0  # base leaves [0, done) are in ``pieces`` or replaced
     for key, leaf in zip(own, leaves, strict=True):
-        # Dense runs of own keys skip the search: the next base key is it.
+        # A key not above the next base key goes right there, so dense runs
+        # of own keys skip the search.
         at = done if done == size or keys[done] >= key else bisect_left(keys, key, done + 1)
         if at > done:
             pieces.append(blob[starts[done] : starts[at]])

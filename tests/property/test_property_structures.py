@@ -96,11 +96,16 @@ class TestStateRootProperties:
         versions = {k: v for k, v in versions.items() if k in records}
         store = KeyValueStore(0, PartitionImage(records))
         store.replace(records, versions)
-        for key, value in writes:
-            store.write(key, value)
+
+        def expected():
             current = store.versions()
             leaves = {k: reference_leaf(k, v, current.get(k, 0)) for k, v in store.items().items()}
-            assert store.state_root() == reference_root(leaves, 64)
+            return reference_root(leaves, 64)
+
+        assert store.state_root() == expected()
+        for key, value in writes:
+            store.write(key, value)
+            assert store.state_root() == expected()
 
 
 # ---------------------------------------------------------------------------
