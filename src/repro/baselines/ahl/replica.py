@@ -390,8 +390,7 @@ class AhlReplica(PbftReplica):
                 decision,
                 include_self=(shard == self.shard_id),
             )
-        for request in record.requests:
-            self._reply_to_client(request, record.global_sequence or 0)
+        self._reply_to_clients(record.requests, record.global_sequence or 0)
 
     def _handle_decide_2pc(self, message: Decide2PC) -> None:
         record = self._records.get(message.batch_digest)

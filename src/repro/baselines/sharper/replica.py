@@ -31,7 +31,7 @@ once per client timeout, however many copies of one retransmission reach it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.baselines.sharper.messages import CrossCommit, CrossPrepare, CrossPropose
@@ -143,13 +143,18 @@ class SharperReplica(PbftReplica):
         if target != self.shard_id:
             self.send(self.directory.primary_of(target, view=0), request)
 
-    def _reply_to_client(self, request: ClientRequest, sequence: int) -> None:
+    def _reply_to_clients(self, requests: Iterable[ClientRequest], sequence: int) -> None:
         """Every involved shard executes a cross-shard batch; only the
         initiator shard answers the client."""
-        txn = request.transaction
-        if txn.is_cross_shard and self._initiator_shard(txn.involved_shards) != self.shard_id:
-            return
-        super()._reply_to_client(request, sequence)
+        super()._reply_to_clients(
+            [
+                request
+                for request in requests
+                if not request.transaction.is_cross_shard
+                or self._initiator_shard(request.transaction.involved_shards) == self.shard_id
+            ],
+            sequence,
+        )
 
     # ------------------------------------------------------------------
     # records

@@ -202,15 +202,19 @@ class ClientRequest(Message):
 @register_wire_type
 @dataclass(frozen=True)
 class ClientResponse(Message):
-    """Response(T, k, r) returned to the client by f+1 replicas.
+    """Response(T, k, r) for every transaction of one client in one batch.
 
-    ``view`` is the replying replica's current view, so the client can track
-    the shard's primary (PBFT's reply carries it for the same reason).
+    The paper (Figure 5) sends one ``Response`` per transaction; a replica
+    here sends one per client per committed batch, listing that client's
+    transactions in batch order with one result each.  The client still
+    completes each transaction on f + 1 distinct senders.  ``view`` is the
+    replying replica's current view, so the client can track the shard's
+    primary (PBFT's reply carries it for the same reason).
     """
 
-    txn_id: str
+    txn_ids: tuple[str, ...]
     sequence: int
-    result: dict[str, str]
+    results: tuple[dict[str, str], ...]
     shard: int
     view: int
 

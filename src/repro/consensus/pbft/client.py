@@ -1,5 +1,9 @@
 """Client node: submits transactions and waits for ``f + 1`` replies.
 
+A replica answers once per client per committed batch; the reply lists the
+client's transactions of that batch, and each completes on ``f + 1`` replies
+from distinct replicas.
+
 Clients sign their requests (non-repudiation, attack A1 in the paper), send
 them to the primary of the first involved shard in ring order, and start a
 timer.  If the timer fires before ``f + 1`` responses arrive, the client
@@ -145,11 +149,13 @@ class Client(Node):
         if not isinstance(message, ClientResponse):
             return
         self._learn_view(message)
-        entry = self._in_flight.get(message.txn_id)
-        if entry is None:
-            return
-        if entry.replies.add(message.txn_id, message.sender):
-            self._complete(message.txn_id, entry)
+        in_flight, sender = self._in_flight, message.sender
+        # One reply lists every transaction of this client in one batch; each
+        # still completes on its own f + 1 distinct senders.
+        for txn_id in message.txn_ids:
+            entry = in_flight.get(txn_id)
+            if entry is not None and entry.replies.add(txn_id, sender):
+                self._complete(txn_id, entry)
 
     def _learn_view(self, message: ClientResponse) -> None:
         shard, sender, view = message.shard, message.sender, message.view

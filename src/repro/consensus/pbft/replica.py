@@ -357,7 +357,7 @@ class PbftReplica(Node):
         txn = request.transaction
         if self.executor.already_executed(txn.txn_id):
             # Retransmission of an executed request: reply with the stored result.
-            self._reply_to_client(request, self._sequence_of_txn(txn.txn_id))
+            self._reply_to_clients((request,), self._sequence_of_txn(txn.txn_id))
             return
         if txn.txn_id in self._committed_txn_ids:
             # Already ordered locally; it executes (and is answered) as soon as
@@ -769,8 +769,7 @@ class PbftReplica(Node):
         # mark afterwards would re-create it.
         self.log.mark(self.view, sequence, SlotState.EXECUTED)
         self._execute_fragment(sequence, digest, batch)
-        for request in batch:
-            self._reply_to_client(request, sequence)
+        self._reply_to_clients(batch, sequence)
 
     def _execute_fragment(
         self,
@@ -794,21 +793,31 @@ class PbftReplica(Node):
         self._release_lock_token(digest.hex())
         return results
 
-    def _reply_to_client(self, request: ClientRequest, sequence: int) -> None:
-        txn = request.transaction
-        if self.executor.already_executed(txn.txn_id):
-            result = self.executor.writes_of(txn.txn_id)
-        else:
-            result = {}
-        response = ClientResponse(
-            sender=self.replica_id,
-            txn_id=txn.txn_id,
-            sequence=sequence,
-            result=result,
-            shard=self.shard_id,
-            view=self.view,
-        )
-        self.send(request.transaction.client_id, response)
+    def _reply_to_clients(self, requests: Iterable[ClientRequest], sequence: int) -> None:
+        """Send each client of ``requests`` one reply listing its transactions.
+
+        Transactions are grouped by client in the order of ``requests`` (batch
+        order), so the replies and their contents are deterministic.
+        """
+        by_client: dict[str, list[str]] = {}
+        for request in requests:
+            txn = request.transaction
+            by_client.setdefault(txn.client_id, []).append(txn.txn_id)
+        executor = self.executor
+        for client_id, txn_ids in by_client.items():
+            results = tuple(
+                executor.writes_of(txn_id) if executor.already_executed(txn_id) else {}
+                for txn_id in txn_ids
+            )
+            response = ClientResponse(
+                sender=self.replica_id,
+                txn_ids=tuple(txn_ids),
+                sequence=sequence,
+                results=results,
+                shard=self.shard_id,
+                view=self.view,
+            )
+            self.send(client_id, response)
 
     def _sequence_of_txn(self, txn_id: str) -> int:
         # O(1) via the ledger's txn index (retransmitted client requests used

@@ -441,8 +441,7 @@ class RingBftReplica(PbftReplica):
         if not is_initiator:
             return
         record.replied = True
-        for request in record.requests:
-            self._reply_to_client(request, record.sequence)
+        self._reply_to_clients(record.requests, record.sequence)
         self._maybe_retire_record(record)
 
     # ------------------------------------------------------------------

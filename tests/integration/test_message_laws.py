@@ -4,9 +4,11 @@ One fault-free transaction touching all ``s`` shards of ``n`` replicas each,
 at batch size 1, sends a number of messages of each type that is a closed
 form in ``s`` and ``n``; one touching a single shard runs plain PBFT in that
 shard alone, whatever the protocol and ``s``.  A batch of ``b`` such
-transactions costs what one does, except that every transaction gets its
-own ``n`` client replies; Sharper's cross-shard path runs one global round
-per transaction, so there ``b`` cost ``b`` times one.  These laws are the
+transactions from one client costs what one does, its ``n`` client replies
+included: each replica answers a client once per batch, listing all of that
+client's transactions.  From ``c`` clients the batch costs ``c * n``
+replies.  Sharper's cross-shard path runs one global round per transaction,
+so there ``b`` cost ``b`` times one.  These laws are the
 paper's communication-complexity argument made exact (linear inter-shard
 traffic for RingBFT against all-to-all for AHL and Sharper), so a change
 that alters what a protocol sends has to change this file and say why.
@@ -26,19 +28,25 @@ GRID = [(s, n) for s in (2, 3) for n in (4, 7, 13)]
 
 
 def _counts_for_one_transaction(
-    replica_class, s: int, n: int, shards, batch: int = 1
+    replica_class, s: int, n: int, shards, batch: int = 1, clients: int = 1
 ) -> dict[str, int]:
     """Counts for ``batch`` transactions submitted together at batch size
-    ``batch``, each on its own records of ``shards``."""
+    ``batch``, each on its own records of ``shards``, dealt round-robin over
+    ``clients`` clients."""
     cluster = build_cluster(
-        num_shards=s, replicas=n, replica_class=replica_class, batch_size=batch
+        num_shards=s,
+        replicas=n,
+        replica_class=replica_class,
+        batch_size=batch,
+        num_clients=clients,
     )
     for index in range(batch):
-        builder = TransactionBuilder(f"law-{s}x{n}-{index}", "client-0")
+        client_id = f"client-{index % clients}"
+        builder = TransactionBuilder(f"law-{s}x{n}-{index}", client_id)
         for shard in shards:
             record = cluster.table.local_record(shard, 2 + index)
             builder.read_modify_write(shard, record, f"v@{shard}")
-        cluster.submit(builder.build())
+        cluster.submit(builder.build(), client_id)
     assert cluster.run_until_clients_done(timeout=120.0)
     assert all(cluster.ledgers_consistent(shard) for shard in range(s))
     return cluster.message_counts()
@@ -104,22 +112,16 @@ def test_single_shard_law(replica_class, s, n):
 BATCH_GRID = [(s, n, b) for s, n in ((2, 4), (3, 7)) for b in (2, 4)]
 
 
-def _with_replies_per_transaction(law: dict[str, int], n: int, b: int) -> dict[str, int]:
-    return {**law, "ClientResponse": b * n}
-
-
 @pytest.mark.parametrize("s,n,b", BATCH_GRID)
 def test_ringbft_batch_law(s, n, b):
     law = _counts_for_one_all_shard_transaction(RingBftReplica, s, n)
-    counts = _counts_for_one_transaction(RingBftReplica, s, n, range(s), batch=b)
-    assert counts == _with_replies_per_transaction(law, n, b)
+    assert _counts_for_one_transaction(RingBftReplica, s, n, range(s), batch=b) == law
 
 
 @pytest.mark.parametrize("s,n,b", BATCH_GRID)
 def test_ahl_batch_law(s, n, b):
     law = _counts_for_one_all_shard_transaction(AhlReplica, s, n)
-    counts = _counts_for_one_transaction(AhlReplica, s, n, range(s), batch=b)
-    assert counts == _with_replies_per_transaction(law, n, b)
+    assert _counts_for_one_transaction(AhlReplica, s, n, range(s), batch=b) == law
 
 
 @pytest.mark.parametrize("s,n,b", BATCH_GRID)
@@ -136,5 +138,20 @@ def test_sharper_batch_law(s, n, b):
 @pytest.mark.parametrize("s,n,b", BATCH_GRID)
 def test_single_shard_batch_law(replica_class, s, n, b):
     law = _counts_for_one_transaction(replica_class, s, n, [s - 1])
-    counts = _counts_for_one_transaction(replica_class, s, n, [s - 1], batch=b)
-    assert counts == _with_replies_per_transaction(law, n, b)
+    assert _counts_for_one_transaction(replica_class, s, n, [s - 1], batch=b) == law
+
+
+@pytest.mark.parametrize(
+    "replica_class,all_shards",
+    [(RingBftReplica, True), (AhlReplica, True), (SharperReplica, False)],
+)
+@pytest.mark.parametrize("s,n", [(2, 4), (3, 7)])
+def test_batch_from_several_clients_law(replica_class, all_shards, s, n):
+    # Each replica that answers sends one reply per client of the batch.
+    # (Sharper's cross-shard path answers per global round, so its
+    # several-client case is the single-shard batch.)
+    shards = range(s) if all_shards else [s - 1]
+    b, c = 4, 2
+    law = _counts_for_one_transaction(replica_class, s, n, shards)
+    counts = _counts_for_one_transaction(replica_class, s, n, shards, batch=b, clients=c)
+    assert counts == {**law, "ClientResponse": c * n}

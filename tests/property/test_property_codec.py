@@ -121,14 +121,16 @@ blocks = st.builds(
 
 MESSAGE_STRATEGIES: dict[str, st.SearchStrategy] = {
     "ClientRequest": client_requests,
-    "ClientResponse": st.builds(
-        ClientResponse,
-        sender=replica_ids,
-        txn_id=short_text,
-        sequence=sequences,
-        result=kv_dicts,
-        shard=shard_ids,
-        view=views,
+    "ClientResponse": st.lists(st.tuples(short_text, kv_dicts), max_size=3).flatmap(
+        lambda replies: st.builds(
+            ClientResponse,
+            sender=replica_ids,
+            txn_ids=st.just(tuple(txn_id for txn_id, _ in replies)),
+            sequence=sequences,
+            results=st.just(tuple(result for _, result in replies)),
+            shard=shard_ids,
+            view=views,
+        )
     ),
     "PrePrepare": pre_prepares,
     "Prepare": st.builds(

@@ -2,7 +2,9 @@
 
 The rule: per shard, keep the highest view each replica of that shard has
 claimed; the shard's view is the (f + 1)-th highest claim, and requests go to
-that view's primary.
+that view's primary.  One reply lists every transaction of its client in one
+batch; each listed transaction the client has in flight completes on f + 1
+distinct senders.
 """
 
 import pytest
@@ -25,9 +27,14 @@ def deployment():
         yield built
 
 
-def _reply(shard, sender, view, txn_id="unknown-txn"):
+def _reply(shard, sender, view, txn_ids=("unknown-txn",)):
     return ClientResponse(
-        sender=sender, txn_id=txn_id, sequence=1, result={}, shard=shard, view=view
+        sender=sender,
+        txn_ids=txn_ids,
+        sequence=1,
+        results=tuple({} for _ in txn_ids),
+        shard=shard,
+        view=view,
     )
 
 
@@ -114,8 +121,59 @@ class TestRouting:
     def test_replies_still_complete_the_transaction(self, deployment):
         client = deployment.client
         self._submit_to(deployment, "t3")
-        client.on_message(_reply(0, ReplicaId(0, 1), 0, txn_id="t3"))
+        client.on_message(_reply(0, ReplicaId(0, 1), 0, txn_ids=("t3",)))
         assert client.outstanding == 1
-        client.on_message(_reply(0, ReplicaId(0, 2), 0, txn_id="t3"))
+        client.on_message(_reply(0, ReplicaId(0, 2), 0, txn_ids=("t3",)))
         assert client.outstanding == 0
         assert [record.txn_id for record in client.completed] == ["t3"]
+
+
+class TestGroupedReplies:
+    @pytest.fixture
+    def two_clients(self):
+        config = SystemConfig.uniform(2, N, workload=small_workload())
+        with Deployment.build(config, num_clients=2) as built:
+            yield built
+
+    @staticmethod
+    def _submit(deployment, client, txn_ids):
+        client.send = lambda dst, message: None
+        key = deployment.table.local_record(0, 0)
+        for txn_id in txn_ids:
+            client.submit(TransactionBuilder(txn_id, client.client_id).write(0, key, "v").build())
+
+    def test_each_listed_transaction_completes_once_at_f_plus_one_senders(self, deployment):
+        client = deployment.client
+        self._submit(deployment, client, ("g1", "g2", "g3"))
+        grouped = ("g1", "g2", "g3")
+        client.on_message(_reply(0, ReplicaId(0, 1), 0, txn_ids=grouped))
+        client.on_message(_reply(0, ReplicaId(0, 1), 0, txn_ids=grouped))
+        assert client.outstanding == 3  # one sender, however often it replies
+        client.on_message(_reply(0, ReplicaId(0, 2), 0, txn_ids=grouped))
+        assert client.outstanding == 0
+        client.on_message(_reply(0, ReplicaId(0, 3), 0, txn_ids=grouped))
+        assert [record.txn_id for record in client.completed] == ["g1", "g2", "g3"]
+
+    def test_ids_not_in_flight_are_ignored(self, deployment):
+        client = deployment.client
+        self._submit(deployment, client, ("g4", "g5"))
+        for index in (1, 2):
+            client.on_message(_reply(0, ReplicaId(0, index), 0, txn_ids=("ghost", "g4")))
+        assert [record.txn_id for record in client.completed] == ["g4"]
+        assert client.outstanding == 1
+
+    def test_a_reply_naming_another_clients_transaction_cannot_complete_it(self, two_clients):
+        owner, other = two_clients.clients.values()
+        self._submit(two_clients, owner, ("mine",))
+        for index in range(N):
+            other.on_message(_reply(0, ReplicaId(0, index), 0, txn_ids=("mine",)))
+        assert owner.outstanding == 1
+        assert other.completed == []
+
+    def test_the_view_is_learned_once_per_message(self, deployment, monkeypatch):
+        client = deployment.client
+        learned = []
+        monkeypatch.setattr(client, "_learn_view", learned.append)
+        reply = _reply(0, ReplicaId(0, 1), 3, txn_ids=("a", "b", "c"))
+        client.on_message(reply)
+        assert learned == [reply]

@@ -45,7 +45,7 @@ class TestWireSizes:
 
     def test_unknown_message_types_get_default_size(self):
         response = ClientResponse(
-            sender=ReplicaId(0, 0), txn_id="t", sequence=1, result={}, shard=0, view=0
+            sender=ReplicaId(0, 0), txn_ids=("t",), sequence=1, results=({},), shard=0, view=0
         )
         assert response.wire_size() == MESSAGE_SIZES["ClientResponse"]
 

@@ -56,9 +56,8 @@ _FIELD_VALUES = {
     "sender": ReplicaId(0, 1),
     "transaction": _REQUESTS[0].transaction,
     "signature": _SIGNATURE,
-    "txn_id": "t1",
     "sequence": 4,
-    "result": {"user1": "v", "user2": "w"},
+    "results": ({"user1": "v"}, {"user2": "w"}),
     "shard": 2,
     "view": 1,
     "batch_digest": _DIGEST,
