@@ -39,7 +39,17 @@ parsing it, which is what makes the two per-process caches below possible:
   messages (:data:`INTERNED_WIRE_TYPES`) are looked up by their exact frame
   bytes in one bounded table (:data:`INTERN`), so the same batch arriving in
   a PrePrepare and again in every relayed Forward is built once, and its
-  payload/digest memos warm once.
+  payload/digest memos warm once.  A deliver envelope's destination replica
+  id is shared the same way.
+
+Object frames are decoded through one *decode plan* per registered class,
+compiled on the first decode of that class and keyed by the class-name
+bytes: each field's header is checked with one ``startswith``, and a str,
+bytes or int value is read inline with the generic reader's bound and
+canonical-int checks.  Any other value, and any value that fails a check,
+goes through the generic reader, so a malformed frame fails with the same
+error either way.  The class is then built through its ``__init__``, so
+``__post_init__`` validation runs on every decoded object.
 
 The module also hosts the process-wide codec statistics (payload/digest memo
 and intern-table counters surfaced through ``RunResult`` and the CLI).
@@ -209,11 +219,13 @@ _ENCODERS: dict[type, Callable[[Any, list[bytes]], None]] = {
 }
 
 #: Registered types whose decoded instances are shared through :data:`INTERN`
-#: when they arrive nested inside another object frame.  Each is immutable,
-#: and every memo it carries is a pure function of its bytes, so handing one
-#: object to every holder is what the simulator already does.  Messages that
-#: travel on their own (a deliver envelope's payload) are never interned:
-#: the envelope attaches per-delivery MAC tags to them.
+#: when they arrive nested below the top-level value (a deliver envelope's
+#: destination included).  Each is immutable, and every memo it carries is a
+#: pure function of its bytes, so handing one object to every holder is what
+#: the simulator already does.  A message type (one with ``attach_auth``) is
+#: shared only inside another object frame: a message travelling on its own
+#: (a deliver envelope's payload) gets per-delivery MAC tags, so it is always
+#: a fresh object.
 INTERNED_WIRE_TYPES = frozenset(
     {"Transaction", "ClientRequest", "CommitCertificate", "Signature", "ReplicaId"}
 )
@@ -434,49 +446,92 @@ def _read_len(data: bytes, pos: int) -> tuple[int, int]:
     return _U32.unpack_from(data, pos)[0], end
 
 
+_unpack_u32 = _U32.unpack_from
+
+#: Depths a value is decoded at (the ``depth`` argument of the decoders):
+#: the top-level value itself, inside a container outside any object frame
+#: (a deliver envelope's fields), and inside an object frame.
+_TOP, _IN_CONTAINER, _IN_OBJECT = 0, 1, 2
+
+
 def _decode_from(
-    data: bytes, pos: int, pending: dict[bytes, Any], nested: bool
+    data: bytes, pos: int, pending: dict[bytes, Any], depth: int
 ) -> tuple[Any, int]:
     """Decode the value starting at ``pos``; return it and the position after it.
 
-    ``nested`` is true inside an object frame, where values of the
-    :data:`INTERNED_WIRE_TYPES` are shared through :data:`INTERN`.  Values
-    first built by this decode are collected in ``pending`` and only enter
-    the table once the whole input has decoded cleanly.
+    ``depth`` says where the value sits (``_TOP``, ``_IN_CONTAINER`` or
+    ``_IN_OBJECT``), which decides whether a value of the
+    :data:`INTERNED_WIRE_TYPES` is shared through :data:`INTERN` (see
+    :class:`_DecodePlan`).  Values first built by this decode are collected in
+    ``pending`` and only enter the table once the whole input has decoded
+    cleanly.  The tag is compared as an int (``data[pos]``), most frequent
+    first.
     """
-    if pos >= len(data):
+    n = len(data)
+    if pos >= n:
         raise MalformedMessageError("truncated canonical encoding")
-    tag = data[pos : pos + 1]
+    tag = data[pos]
+    if tag == 0x4F:  # O
+        return _decode_object(data, pos, pending, depth)
     pos += 1
-    if tag == _NONE:
-        return None, pos
-    if tag == _TRUE:
-        return True, pos
-    if tag == _FALSE:
-        return False, pos
-    if tag == _INT:
-        length, pos = _read_len(data, pos)
-        if pos + length > len(data):
+    if tag == 0x53 or tag == 0x42 or tag == 0x49:  # S, B, I: length-prefixed
+        body = pos + 4
+        if body > n:
+            raise MalformedMessageError("truncated length prefix")
+        stop = body + _unpack_u32(data, pos)[0]
+        if tag == 0x53:
+            if stop > n:
+                raise MalformedMessageError("truncated str body")
+            return data[body:stop].decode(), stop
+        if tag == 0x42:
+            if stop > n:
+                raise MalformedMessageError("truncated bytes body")
+            return data[body:stop], stop
+        if stop > n:
             raise MalformedMessageError("truncated int body")
-        body = data[pos : pos + length]
-        value = int(body)
+        raw = data[body:stop]
+        value = int(raw)
         # Reject non-canonical spellings ("+5", " 5", "5_0"): decode must be
         # the exact inverse of encode, or two distinct frames could decode to
         # equal values and defeat digest-by-reencode checks.
-        if str(value).encode() != body:
-            raise MalformedMessageError(f"non-canonical int body {body!r}")
-        return value, pos + length
-    if tag == _STR:
-        length, pos = _read_len(data, pos)
-        if pos + length > len(data):
-            raise MalformedMessageError("truncated str body")
-        return data[pos : pos + length].decode(), pos + length
-    if tag == _BYTES:
-        length, pos = _read_len(data, pos)
-        if pos + length > len(data):
-            raise MalformedMessageError("truncated bytes body")
-        return data[pos : pos + length], pos + length
-    if tag == _FLOAT:
+        if str(value).encode() != raw:
+            raise MalformedMessageError(f"non-canonical int body {raw!r}")
+        return value, stop
+    inner = depth or _IN_CONTAINER
+    if tag == 0x55:  # U
+        count, pos = _read_len(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = _decode_from(data, pos, pending, inner)
+            items.append(item)
+        return tuple(items), pos
+    if tag == 0x4D:  # M
+        count, pos = _read_len(data, pos)
+        items = []
+        for _ in range(count):
+            key, pos = _decode_from(data, pos, pending, inner)
+            val, pos = _decode_from(data, pos, pending, inner)
+            items.append((key, val))
+        result = dict(items)
+        if len(result) != count:
+            raise MalformedMessageError("duplicate dict keys in canonical encoding")
+        if count > 1 and [k for k, _ in items] != [k for k, _ in _sorted_items(result)]:
+            raise MalformedMessageError("non-canonical dict entry order")
+        return result, pos
+    if tag == 0x4E:  # N
+        return None, pos
+    if tag == 0x54:  # T
+        return True, pos
+    if tag == 0x46:  # F
+        return False, pos
+    if tag == 0x4C:  # L
+        count, pos = _read_len(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = _decode_from(data, pos, pending, inner)
+            items.append(item)
+        return items, pos
+    if tag == 0x44:  # D
         value = _F64.unpack_from(data, pos)[0]
         # Mirror the encoder's canonicality rules: encode never emits NaN or
         # the -0.0 bit pattern, so decode must reject them -- otherwise two
@@ -487,40 +542,13 @@ def _decode_from(
         if value == 0.0 and data[pos : pos + 8] != _F64.pack(0.0):
             raise MalformedMessageError("non-canonical float body: -0.0")
         return value, pos + 8
-    if tag == _DICT:
-        count, pos = _read_len(data, pos)
-        items = []
-        for _ in range(count):
-            key, pos = _decode_from(data, pos, pending, nested)
-            val, pos = _decode_from(data, pos, pending, nested)
-            items.append((key, val))
-        result = dict(items)
-        if len(result) != count:
-            raise MalformedMessageError("duplicate dict keys in canonical encoding")
-        if count > 1 and [k for k, _ in items] != [k for k, _ in _sorted_items(result)]:
-            raise MalformedMessageError("non-canonical dict entry order")
-        return result, pos
-    if tag == _LIST:
-        count, pos = _read_len(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos, pending, nested)
-            items.append(item)
-        return items, pos
-    if tag == _TUPLE:
-        count, pos = _read_len(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos, pending, nested)
-            items.append(item)
-        return tuple(items), pos
-    if tag == _FROZENSET:
+    if tag == 0x5A:  # Z
         count, pos = _read_len(data, pos)
         items = []
         previous = None
         for _ in range(count):
             start = pos
-            item, pos = _decode_from(data, pos, pending, nested)
+            item, pos = _decode_from(data, pos, pending, inner)
             encoded = data[start:pos]
             # Encode sorts elements by their encoded bytes (and a set cannot
             # hold duplicates), so anything but a strictly increasing element
@@ -530,45 +558,94 @@ def _decode_from(
             previous = encoded
             items.append(item)
         return frozenset(items), pos
-    if tag == _ENUM:
+    if tag == 0x45:  # E
         length, pos = _read_len(data, pos)
         name = data[pos : pos + length].decode()
         pos += length
-        value, pos = _decode_from(data, pos, pending, nested)
+        value, pos = _decode_from(data, pos, pending, inner)
         cls = _WIRE_TYPES.get(name)
         if cls is None:
             raise MalformedMessageError(f"unknown enum wire type {name!r}")
         if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
             raise MalformedMessageError(f"wire type {name!r} is not an enum")
         return cls(value), pos
-    if tag == _OBJECT:
-        return _decode_object(data, pos - 1, pending, nested)
-    raise MalformedMessageError(f"unknown canonical type tag {tag!r}")
+    raise MalformedMessageError(f"unknown canonical type tag {bytes([tag])!r}")
 
 
-def _decode_object(
-    data: bytes, start: int, pending: dict[bytes, Any], nested: bool
-) -> tuple[Any, int]:
-    """Decode the object frame at ``start`` (its tag byte)."""
-    length, pos = _read_len(data, start + 1)
-    name = data[pos : pos + length].decode()
-    pos += length
+class _DecodePlan(NamedTuple):
+    """How to rebuild one registered dataclass from its object frame."""
+
+    cls: type
+    name: str
+    fields: tuple[tuple[str, bytes, int], ...]  # name, header, header length
+    memoize: bool  # record the frame slice in ``_wire_memo``
+    #: Least depth at which an instance is shared through :data:`INTERN`:
+    #: ``_IN_OBJECT`` for a message (a message on its own in a deliver
+    #: envelope gets per-delivery MAC tags), ``_IN_CONTAINER`` for the other
+    #: :data:`INTERNED_WIRE_TYPES`, and never (3) for everything else.
+    intern_depth: int
+
+
+#: Decode plans keyed by the class-name bytes of the frame, each compiled on
+#: the first decode of its class.
+_DECODE_PLANS: dict[bytes, _DecodePlan] = {}
+
+
+def _decode_plan(raw_name: bytes) -> _DecodePlan:
+    name = raw_name.decode()
     cls = _WIRE_TYPES.get(name)
     if cls is None:
         raise MalformedMessageError(f"unknown object wire type {name!r}")
-    plan = _DATACLASS_PLANS.get(cls)
+    if not is_dataclass(cls):
+        raise MalformedMessageError(f"wire type {name!r} is not a dataclass")
+    encode_plan = _dataclass_plan(cls)
+    if not encode_plan.interned:
+        intern_depth = 3
+    elif hasattr(cls, "attach_auth"):
+        intern_depth = _IN_OBJECT
+    else:
+        intern_depth = _IN_CONTAINER
+    plan = _DecodePlan(
+        cls=cls,
+        name=name,
+        fields=tuple(
+            (fname, header, len(header))
+            for fname, header in zip(encode_plan.names, encode_plan.field_headers)
+        ),
+        memoize=encode_plan.memoize,
+        intern_depth=intern_depth,
+    )
+    _DECODE_PLANS[raw_name] = plan
+    return plan
+
+
+def _decode_object(
+    data: bytes, start: int, pending: dict[bytes, Any], depth: int
+) -> tuple[Any, int]:
+    """Decode the object frame at ``start`` (its tag byte) through its class's plan.
+
+    Each field must start with its header (one ``startswith``).  A str,
+    bytes or int value that lies wholly inside ``data`` is read inline;
+    anything else -- including every truncated or non-canonical value, so
+    that it fails with the generic reader's error -- goes through
+    :func:`_decode_from`.
+    """
+    n = len(data)
+    pos = start + 5
+    if pos > n:
+        raise MalformedMessageError("truncated length prefix")
+    raw_name = data[pos : pos + _unpack_u32(data, start + 1)[0]]
+    plan = _DECODE_PLANS.get(raw_name)
     if plan is None:
-        if not is_dataclass(cls):
-            raise MalformedMessageError(f"wire type {name!r} is not a dataclass")
-        plan = _dataclass_plan(cls)
-    size, pos = _read_len(data, pos)
+        plan = _decode_plan(raw_name)
+    size, pos = _read_len(data, pos + len(raw_name))
     end = pos + size
-    if end > len(data):
+    if end > n:
         raise MalformedMessageError(
-            f"object body for {name!r} claims {size} bytes but {len(data) - pos} remain"
+            f"object body for {plan.name!r} claims {size} bytes but {n - pos} remain"
         )
     key = None
-    if nested and plan.interned:
+    if depth >= plan.intern_depth:
         key = data[start:end]
         shared = INTERN.get(key)
         if shared is None:
@@ -582,20 +659,42 @@ def _decode_object(
     # missing, duplicate, extra, or reordered fields must be rejected -- not
     # silently normalised into an equal object.  The field count is implied
     # by the class; the body length must be exactly what the fields span.
-    kwargs: dict[str, Any] = {}
-    for fname, field_header in zip(plan.names, plan.field_headers):
-        if not data.startswith(field_header, pos, end):
+    values = []
+    for fname, header, header_length in plan.fields:
+        if not data.startswith(header, pos, end):
             raise MalformedMessageError(
-                f"object body for {name!r} does not continue with field {fname!r} "
+                f"object body for {plan.name!r} does not continue with field {fname!r} "
                 "(missing, reordered, duplicate, or cut short)"
             )
-        kwargs[fname], pos = _decode_from(data, pos + len(field_header), pending, True)
+        pos += header_length
+        body = pos + 5
+        if body <= n:
+            tag = data[pos]
+            if tag == 0x53 or tag == 0x42 or tag == 0x49:  # S, B, I
+                stop = body + _unpack_u32(data, pos + 1)[0]
+                if stop <= n:
+                    raw = data[body:stop]
+                    if tag == 0x53:
+                        values.append(raw.decode())
+                        pos = stop
+                        continue
+                    if tag == 0x42:
+                        values.append(raw)
+                        pos = stop
+                        continue
+                    value = int(raw)
+                    if str(value).encode() == raw:
+                        values.append(value)
+                        pos = stop
+                        continue
+        value, pos = _decode_from(data, pos, pending, _IN_OBJECT)
+        values.append(value)
     if pos != end:
         raise MalformedMessageError(
-            f"object body for {name!r} claims {size} bytes but its fields span "
+            f"object body for {plan.name!r} claims {size} bytes but its fields span "
             f"{size + pos - end}"
         )
-    value = cls(**kwargs)
+    value = plan.cls(*values)
     if plan.memoize:
         object.__setattr__(value, "_wire_memo", data[start:end] if key is None else key)
     if key is not None:
@@ -614,16 +713,16 @@ def decode_canonical(data: bytes) -> Any:
 
     Every decoded frozen dataclass carries the slice it was decoded from as
     its ``_wire_memo``, so re-encoding (relaying) it costs nothing.  Values
-    of the :data:`INTERNED_WIRE_TYPES` nested in an object frame may be
-    objects shared with earlier decodes; a value outside any object frame --
-    the top-level value, or a deliver envelope's message -- is always a fresh
-    object.
+    of the :data:`INTERNED_WIRE_TYPES` nested below the top-level value may
+    be objects shared with earlier decodes; the top-level value, and a
+    message outside any object frame (a deliver envelope's message), is
+    always a fresh object.
     """
     if type(data) is not bytes:
         data = bytes(data)
     pending: dict[bytes, Any] = {}
     try:
-        value, pos = _decode_from(data, 0, pending, False)
+        value, pos = _decode_from(data, 0, pending, _TOP)
     except MalformedMessageError:
         raise
     except (struct.error, ValueError, TypeError, UnicodeDecodeError, IndexError) as exc:

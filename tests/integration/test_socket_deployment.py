@@ -8,12 +8,15 @@ launcher).  Parity tests pin the socket backend to the simulator: the same
 workload commits the same transactions.
 """
 
+import dataclasses
 import socket as _socket
 
 import pytest
 
+from repro.common import codec
 from repro.config import SystemConfig, WorkloadConfig
 from repro.engine import Deployment, SocketBackend, backend_by_name
+from repro.net import transport
 from repro.net.launcher import build_system_config, build_workload, deploy_local
 from repro.txn.transaction import TransactionBuilder
 
@@ -186,6 +189,53 @@ class TestSingleProcessSocketDeployment:
 
 
 @pytest.mark.slow
+def _without_memos(value):
+    """A copy of ``value`` whose dataclasses are rebuilt from their fields,
+    so re-encoding it walks every field instead of splicing the decoded
+    slices that the originals carry."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(
+            **{f.name: _without_memos(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        )
+    if isinstance(value, (tuple, list, frozenset)):
+        return type(value)(_without_memos(item) for item in value)
+    if isinstance(value, dict):
+        return {_without_memos(k): _without_memos(v) for k, v in value.items()}
+    return value
+
+
+class TestCapturedFramesRoundTrip:
+    """Frames captured from a real socket run decode to values that encode
+    back to the same bytes: the decode plans lose and add nothing."""
+
+    def test_every_frame_type_re_encodes_byte_identically(self, monkeypatch):
+        bodies = []
+        decode = transport.decode_wire_payload
+
+        def capture(body):
+            bodies.append(bytes(body))
+            return decode(body)
+
+        monkeypatch.setattr(transport, "decode_wire_payload", capture)
+        deployment = Deployment.build(
+            _config(), backend="socket", num_clients=2, batch_size=2, seed=11
+        )
+        try:
+            result = deployment.run_workload(_mixed_workload(), timeout=60.0)
+        finally:
+            deployment.close()
+        assert result.all_completed
+        kinds = set()
+        for body in bodies:
+            value = codec.decode_canonical(body)
+            assert codec.encode_canonical(_without_memos(value)) == body
+            kinds.add(type(value[2]).__name__)
+        assert kinds >= {
+            "ClientRequest", "PrePrepare", "Prepare", "Commit",
+            "Forward", "Execute", "ClientResponse",
+        }
+
+
 class TestMultiProcessDeployment:
     """One OS process per replica, coordinated over loopback TCP."""
 
