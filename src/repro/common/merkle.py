@@ -132,7 +132,8 @@ class LeafBuckets:
     order; ``blobs[b]``, exactly the bytes its digest covers (its leaves in
     key order, concatenated); and ``starts[b]``, a read-only view of where
     each leaf starts in the blob plus an end sentinel, so leaf ``i`` is
-    ``blobs[b][starts[b][i]:starts[b][i + 1]]``.  ``digests[b]`` is
+    ``blobs[b][starts[b][i]:starts[b][i + 1]]``.  Every bucket's view is a
+    slice of one offsets buffer per image.  ``digests[b]`` is
     ``sha256(blobs[b])``.  The blob is the only per-key byte string kept: no
     leaf object and no per-key dict slot.  Many :class:`BucketedDigest`
     instances share one base; none of them can write to it.
@@ -153,16 +154,17 @@ class LeafBuckets:
         for key in keys:
             appends[crc32(key.encode()) % num_buckets](key)
         blobs: list[bytes] = []
-        starts: list[memoryview] = []
+        offsets = array("I")
+        bounds = [0]  # bucket b's offsets are offsets[bounds[b]:bounds[b + 1]]
         for bucket in grouped:
             bucket.sort()
             bucket_leaves = leaves(bucket)
             blobs.append(b"".join(bucket_leaves))
-            offsets = array("I", accumulate(map(len, bucket_leaves), initial=0))
-            starts.append(memoryview(offsets.tobytes()).cast("I"))
-        return cls(
-            tuple(map(tuple, grouped)), tuple(blobs), tuple(starts), tuple(map(sha256, blobs))
-        )
+            offsets.extend(accumulate(map(len, bucket_leaves), initial=0))
+            bounds.append(len(offsets))
+        view = memoryview(offsets.tobytes()).cast("I")
+        starts = tuple(view[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return cls(tuple(map(tuple, grouped)), tuple(blobs), starts, tuple(map(sha256, blobs)))
 
 
 def _splice(
