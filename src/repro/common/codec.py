@@ -638,7 +638,10 @@ def _decode_object(
     plan = _DECODE_PLANS.get(raw_name)
     if plan is None:
         plan = _decode_plan(raw_name)
-    size, pos = _read_len(data, pos + len(raw_name))
+    pos += len(raw_name) + 4
+    if pos > n:
+        raise MalformedMessageError("truncated length prefix")
+    size = _unpack_u32(data, pos - 4)[0]
     end = pos + size
     if end > n:
         raise MalformedMessageError(
@@ -687,6 +690,10 @@ def _decode_object(
                         values.append(value)
                         pos = stop
                         continue
+            elif tag == 0x4F:  # O
+                value, pos = _decode_object(data, pos, pending, _IN_OBJECT)
+                values.append(value)
+                continue
         value, pos = _decode_from(data, pos, pending, _IN_OBJECT)
         values.append(value)
     if pos != end:
