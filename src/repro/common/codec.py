@@ -71,7 +71,8 @@ _F64 = struct.Struct(">d")
 
 # One-byte type tags.  Distinct tags per type are what make the encoding
 # injective: bytes can never collide with the str of those bytes, nor an int
-# key with its decimal string.
+# key with its decimal string.  The decoder compares ``data[pos]`` with the
+# same tags as int literals (``0x53  # S``), which costs no global lookup.
 _NONE = b"N"
 _TRUE = b"T"
 _FALSE = b"F"
@@ -450,8 +451,9 @@ _unpack_u32 = _U32.unpack_from
 
 #: Depths a value is decoded at (the ``depth`` argument of the decoders):
 #: the top-level value itself, inside a container outside any object frame
-#: (a deliver envelope's fields), and inside an object frame.
-_TOP, _IN_CONTAINER, _IN_OBJECT = 0, 1, 2
+#: (a deliver envelope's fields), and inside an object frame.  ``_NEVER`` is
+#: deeper than any of them.
+_TOP, _IN_CONTAINER, _IN_OBJECT, _NEVER = 0, 1, 2, 3
 
 
 def _decode_from(
@@ -582,7 +584,7 @@ class _DecodePlan(NamedTuple):
     #: Least depth at which an instance is shared through :data:`INTERN`:
     #: ``_IN_OBJECT`` for a message (a message on its own in a deliver
     #: envelope gets per-delivery MAC tags), ``_IN_CONTAINER`` for the other
-    #: :data:`INTERNED_WIRE_TYPES`, and never (3) for everything else.
+    #: :data:`INTERNED_WIRE_TYPES`, and ``_NEVER`` for everything else.
     intern_depth: int
 
 
@@ -600,7 +602,7 @@ def _decode_plan(raw_name: bytes) -> _DecodePlan:
         raise MalformedMessageError(f"wire type {name!r} is not a dataclass")
     encode_plan = _dataclass_plan(cls)
     if not encode_plan.interned:
-        intern_depth = 3
+        intern_depth = _NEVER
     elif hasattr(cls, "attach_auth"):
         intern_depth = _IN_OBJECT
     else:

@@ -376,6 +376,15 @@ class TestInternTable:
         assert codec.INTERN.get(frame) is None
         assert codec.INTERN.get(encode_canonical(request.transaction)) is not None
 
+    def test_an_envelopes_destination_is_shared_and_its_message_is_fresh(self):
+        request = _requests("envelope", 1)[0]
+        frame = encode_canonical((ReplicaId(1, 2), {"peer:r2@S1": b"t"}, request))
+        first, second = decode_canonical(frame), decode_canonical(frame)
+        assert first[0] == ReplicaId(1, 2)
+        assert first[0] is second[0]
+        assert first[2] is not second[2]
+        assert first[2].transaction is second[2].transaction
+
     @pytest.mark.parametrize(
         "corrupt",
         [
