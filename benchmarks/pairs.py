@@ -3,7 +3,7 @@
     python3 benchmarks/pairs.py --parent-src PATH | --parent REV
                                 --workload W [--workload W2 ...]
                                 [--metric M ...] [--pairs N] [--seed S]
-                                [--seconds S] [--smoke] [--output PATH]
+                                [--smoke] [--output PATH]
 
 Host time on a shared machine drifts by tens of percent over minutes, so a
 single run of each commit says little.  This tool alternates the run the
@@ -44,6 +44,8 @@ _HERE = Path(__file__).resolve().parent
 CHANGE_ROOT = _HERE.parent
 RUNNER = Path("benchmarks") / "ringbench" / "run.py"
 DEFAULT_METRICS = ("cpu_us_per_txn", "tps", "p50_ms", "p99_ms", "setup_s", "peak_rss_mb")
+#: Measuring budget of one run: the benchmark driver's.
+SECONDS = 10
 #: Wall seconds after which one run is treated as hung.
 RUN_TIMEOUT_S = 600.0
 
@@ -123,13 +125,11 @@ def directions(root: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def run_once(
-    tree: Path, workload: str, seed: int, seconds: float, smoke: bool
-) -> dict[str, float]:
+def run_once(tree: Path, workload: str, seed: int, smoke: bool) -> dict[str, float]:
     """One driver-style ringbench run in ``tree``; its metric values by name."""
     command = [
         sys.executable, str(tree / RUNNER), "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(SECONDS), "--trace", "0",
     ]
     if smoke:
         command.append("--smoke")
@@ -155,9 +155,7 @@ def run_pairs(
     *,
     pairs: int,
     seed: int,
-    seconds: float,
     smoke: bool,
-    log=print,
 ) -> dict[str, list[dict[str, float]]]:
     """``pairs`` alternating runs per side; pair ``i`` runs the parent first
     when ``i`` is even."""
@@ -166,8 +164,8 @@ def run_pairs(
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
             tree = parent if side == "parent" else change
-            runs[side].append(run_once(tree, workload, seed, seconds, smoke))
-        log(
+            runs[side].append(run_once(tree, workload, seed, smoke))
+        print(
             f"  pair {index + 1}/{pairs} ({order[0]} first): "
             + ", ".join(
                 f"{name} {runs['parent'][-1].get(name)} -> {runs['change'][-1].get(name)}"
@@ -245,7 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metric", action="append", help=f"default: {', '.join(DEFAULT_METRICS)}")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--smoke", action="store_true", help="ringbench's 1/10-size workloads")
     parser.add_argument("--output", type=Path, default=Path("pairs.json"))
     args = parser.parse_args(argv)
@@ -261,7 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             "change": str(change),
             "seed": args.seed,
             "pairs": args.pairs,
-            "seconds": args.seconds,
             "smoke": args.smoke,
             "workloads": {},
         }
@@ -269,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload}: {args.pairs} pairs at seed {args.seed}")
             runs = run_pairs(
                 parent, change, workload,
-                pairs=args.pairs, seed=args.seed, seconds=args.seconds, smoke=args.smoke,
+                pairs=args.pairs, seed=args.seed, smoke=args.smoke,
             )
             summary = summarise(runs, metrics, better)
             report["workloads"][workload] = {"metrics": summary, "runs": runs}

@@ -167,6 +167,34 @@ class TestRoundTrip:
         with pytest.raises(MalformedMessageError):
             decode_canonical(junk)
 
+    @pytest.mark.parametrize(
+        "junk",
+        [
+            b"",
+            b"\x99",
+            b"I\x00\x00\x00\x02ab",
+            b"S\x00\x00\x00\x01\xff",
+            b"B\x00\x00\x00\x05ab",
+            b"I\x00\x00",
+            b"I\x00\x00\x00\x02+5",
+            b"I\x00\x00\x00\x03" + b"5_0",
+            b"I\x00\x00\x00\x02" + b"05",
+            b"I\x00\x00\x00\x64" + b"5",
+            b"S\x00\x00\x00\x64" + b"ab",
+        ],
+    )
+    def test_malformed_field_values_fail_as_they_do_on_their_own(self, junk):
+        """A str, bytes or int field value, which the object plan reads
+        inline, fails with the error the generic reader gives the same bytes
+        at the top level."""
+        body = struct.pack(">I", 5) + b"shard" + junk
+        frame = b"O" + struct.pack(">I", 9) + b"ReplicaId" + struct.pack(">I", len(body)) + body
+        with pytest.raises(MalformedMessageError) as alone:
+            decode_canonical(junk)
+        with pytest.raises(MalformedMessageError) as in_field:
+            decode_canonical(frame)
+        assert str(in_field.value) == str(alone.value)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(MalformedMessageError):
             encode_canonical(object())
