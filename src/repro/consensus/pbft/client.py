@@ -150,8 +150,6 @@ class Client(Node):
             return
         self._learn_view(message)
         in_flight, sender = self._in_flight, message.sender
-        # One reply lists every transaction of this client in one batch; each
-        # still completes on its own f + 1 distinct senders.
         for txn_id in message.txn_ids:
             entry = in_flight.get(txn_id)
             if entry is not None and entry.replies.add(txn_id, sender):
