@@ -509,16 +509,21 @@ def _decode_from(
         return tuple(items), pos
     if tag == 0x4D:  # M
         count, pos = _read_len(data, pos)
-        items = []
+        keys = []
+        result = {}
         for _ in range(count):
             key, pos = _decode_from(data, pos, pending, inner)
-            val, pos = _decode_from(data, pos, pending, inner)
-            items.append((key, val))
-        result = dict(items)
+            result[key], pos = _decode_from(data, pos, pending, inner)
+            keys.append(key)
         if len(result) != count:
             raise MalformedMessageError("duplicate dict keys in canonical encoding")
-        if count > 1 and [k for k, _ in items] != [k for k, _ in _sorted_items(result)]:
-            raise MalformedMessageError("non-canonical dict entry order")
+        if count > 1:
+            try:
+                ordered = keys == sorted(keys)
+            except TypeError:
+                ordered = keys == [k for k, _ in _sorted_items(result)]
+            if not ordered:
+                raise MalformedMessageError("non-canonical dict entry order")
         return result, pos
     if tag == 0x4E:  # N
         return None, pos

@@ -258,6 +258,11 @@ class TestCanonicalForm:
     def test_mixed_key_dict_order_is_validated_with_the_encoders_order(self):
         value = {1: "x", "1": "y", b"1": "z"}
         assert decode_canonical(encode_canonical(value)) == value
+        entries = {key: encode_canonical(key) + encode_canonical(v) for key, v in value.items()}
+        header = b"M" + struct.pack(">I", 3)
+        assert encode_canonical(value) == header + entries[b"1"] + entries[1] + entries["1"]
+        with pytest.raises(MalformedMessageError, match="order"):
+            decode_canonical(header + entries[1] + entries[b"1"] + entries["1"])
 
     def test_decoder_rejects_reordered_object_fields(self):
         good = _object_frame([(b"shard", 1), (b"index", 2)])
