@@ -188,7 +188,6 @@ class TestSingleProcessSocketDeployment:
                 assert deployment.ledgers_consistent(shard)
 
 
-@pytest.mark.slow
 def _without_memos(value):
     """A copy of ``value`` whose dataclasses are rebuilt from their fields,
     so re-encoding it walks every field instead of splicing the decoded
@@ -236,6 +235,7 @@ class TestCapturedFramesRoundTrip:
         }
 
 
+@pytest.mark.slow
 class TestMultiProcessDeployment:
     """One OS process per replica, coordinated over loopback TCP."""
 
