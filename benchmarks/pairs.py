@@ -3,7 +3,7 @@
     python3 benchmarks/pairs.py --parent-src PATH | --parent REV
                                 --workload W [--workload W2 ...]
                                 [--metric M ...] [--pairs N] [--seed S]
-                                [--smoke] [--output PATH]
+                                [--output PATH]
 
 Host time on a shared machine drifts by tens of percent over minutes, so a
 single run of each commit says little.  This tool alternates the run the
@@ -125,14 +125,12 @@ def directions(root: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def run_once(tree: Path, workload: str, seed: int, smoke: bool) -> dict[str, float]:
+def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     """One driver-style ringbench run in ``tree``; its metric values by name."""
     command = [
         sys.executable, str(tree / RUNNER), "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", "0",
     ]
-    if smoke:
-        command.append("--smoke")
     done = subprocess.run(
         command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
     )
@@ -155,7 +153,6 @@ def run_pairs(
     *,
     pairs: int,
     seed: int,
-    smoke: bool,
 ) -> dict[str, list[dict[str, float]]]:
     """``pairs`` alternating runs per side; pair ``i`` runs the parent first
     when ``i`` is even."""
@@ -164,7 +161,7 @@ def run_pairs(
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
             tree = parent if side == "parent" else change
-            runs[side].append(run_once(tree, workload, seed, smoke))
+            runs[side].append(run_once(tree, workload, seed))
         print(
             f"  pair {index + 1}/{pairs} ({order[0]} first): "
             + ", ".join(
@@ -243,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metric", action="append", help=f"default: {', '.join(DEFAULT_METRICS)}")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--smoke", action="store_true", help="ringbench's 1/10-size workloads")
     parser.add_argument("--output", type=Path, default=Path("pairs.json"))
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -258,15 +254,11 @@ def main(argv: list[str] | None = None) -> int:
             "change": str(change),
             "seed": args.seed,
             "pairs": args.pairs,
-            "smoke": args.smoke,
             "workloads": {},
         }
         for workload in args.workload:
             print(f"{workload}: {args.pairs} pairs at seed {args.seed}")
-            runs = run_pairs(
-                parent, change, workload,
-                pairs=args.pairs, seed=args.seed, smoke=args.smoke,
-            )
+            runs = run_pairs(parent, change, workload, pairs=args.pairs, seed=args.seed)
             summary = summarise(runs, metrics, better)
             report["workloads"][workload] = {"metrics": summary, "runs": runs}
             print_summary(workload, summary)
