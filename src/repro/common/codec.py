@@ -42,14 +42,13 @@ parsing it, which is what makes the two per-process caches below possible:
   payload/digest memos warm once.  A deliver envelope's destination replica
   id is shared the same way.
 
-Object frames are decoded through one *decode plan* per registered class,
-compiled on the first decode of that class and keyed by the class-name
-bytes: each field's header is checked with one ``startswith``, and a str,
-bytes or int value is read inline with the generic reader's bound and
-canonical-int checks.  Any other value, and any value that fails a check,
-goes through the generic reader, so a malformed frame fails with the same
-error either way.  The class is then built through its ``__init__``, so
-``__post_init__`` validation runs on every decoded object.
+Object frames are encoded and decoded through one *object plan* per
+registered class (its header bytes, field headers and cache policy),
+built on the first encode or decode of that class; the decoder finds it by
+the frame's class-name bytes.  Each field's header is checked with one
+``startswith`` and its value read by the generic reader; the class is then
+built through its ``__init__``, so ``__post_init__`` validation runs on
+every decoded object.
 
 The module also hosts the process-wide codec statistics (payload/digest memo
 and intern-table counters surfaced through ``RunResult`` and the CLI).
@@ -232,14 +231,27 @@ INTERNED_WIRE_TYPES = frozenset(
 )
 
 
-class _ObjectPlan(NamedTuple):
-    """How one dataclass is framed: the constant bytes and the cache policy."""
+#: Depths a value is decoded at (the ``depth`` argument of the decoders):
+#: the top-level value itself, inside a container outside any object frame
+#: (a deliver envelope's fields), and inside an object frame.  ``_NEVER`` is
+#: deeper than any of them.
+_TOP, _IN_CONTAINER, _IN_OBJECT, _NEVER = 0, 1, 2, 3
 
+
+class _ObjectPlan(NamedTuple):
+    """How one dataclass is framed and rebuilt: the constant bytes and the cache policy."""
+
+    cls: type
+    name: str
     header: bytes  # tag + class name; the body length follows
     field_headers: tuple[bytes, ...]  # u32 length + name, per field
     names: tuple[str, ...]
     memoize: bool  # frozen with a __dict__: bytes recorded in ``_wire_memo``
-    interned: bool  # nested instances go through INTERN
+    #: Least decode depth at which an instance is shared through
+    #: :data:`INTERN`: ``_IN_OBJECT`` for a message (a message on its own in a
+    #: deliver envelope gets per-delivery MAC tags), ``_IN_CONTAINER`` for the
+    #: other :data:`INTERNED_WIRE_TYPES`, and ``_NEVER`` for everything else.
+    intern_depth: int
 
 
 _DATACLASS_PLANS: dict[type, _ObjectPlan] = {}
@@ -252,12 +264,20 @@ def _dataclass_plan(cls: type) -> _ObjectPlan:
         names = tuple(f.name for f in fields(cls))
         frozen: bool = getattr(cls, "__dataclass_params__").frozen
         memoize = frozen and "__slots__" not in vars(cls)
+        if not (memoize and cls.__name__ in INTERNED_WIRE_TYPES):
+            intern_depth = _NEVER
+        elif hasattr(cls, "attach_auth"):
+            intern_depth = _IN_OBJECT
+        else:
+            intern_depth = _IN_CONTAINER
         plan = _ObjectPlan(
+            cls=cls,
+            name=cls.__name__,
             header=_OBJECT + _pack_len(len(name)) + name,
             field_headers=tuple(_pack_len(len(n.encode())) + n.encode() for n in names),
             names=names,
             memoize=memoize,
-            interned=memoize and cls.__name__ in INTERNED_WIRE_TYPES,
+            intern_depth=intern_depth,
         )
         _DATACLASS_PLANS[cls] = plan
     return plan
@@ -449,12 +469,6 @@ def _read_len(data: bytes, pos: int) -> tuple[int, int]:
 
 _unpack_u32 = _U32.unpack_from
 
-#: Depths a value is decoded at (the ``depth`` argument of the decoders):
-#: the top-level value itself, inside a container outside any object frame
-#: (a deliver envelope's fields), and inside an object frame.  ``_NEVER`` is
-#: deeper than any of them.
-_TOP, _IN_CONTAINER, _IN_OBJECT, _NEVER = 0, 1, 2, 3
-
 
 def _decode_from(
     data: bytes, pos: int, pending: dict[bytes, Any], depth: int
@@ -464,7 +478,7 @@ def _decode_from(
     ``depth`` says where the value sits (``_TOP``, ``_IN_CONTAINER`` or
     ``_IN_OBJECT``), which decides whether a value of the
     :data:`INTERNED_WIRE_TYPES` is shared through :data:`INTERN` (see
-    :class:`_DecodePlan`).  Values first built by this decode are collected in
+    :class:`_ObjectPlan`).  Values first built by this decode are collected in
     ``pending`` and only enter the table once the whole input has decoded
     cleanly.  The tag is compared as an int (``data[pos]``), most frequent
     first.
@@ -579,50 +593,19 @@ def _decode_from(
     raise MalformedMessageError(f"unknown canonical type tag {bytes([tag])!r}")
 
 
-class _DecodePlan(NamedTuple):
-    """How to rebuild one registered dataclass from its object frame."""
-
-    cls: type
-    name: str
-    fields: tuple[tuple[str, bytes, int], ...]  # name, header, header length
-    memoize: bool  # record the frame slice in ``_wire_memo``
-    #: Least depth at which an instance is shared through :data:`INTERN`:
-    #: ``_IN_OBJECT`` for a message (a message on its own in a deliver
-    #: envelope gets per-delivery MAC tags), ``_IN_CONTAINER`` for the other
-    #: :data:`INTERNED_WIRE_TYPES`, and ``_NEVER`` for everything else.
-    intern_depth: int
+#: Object plans by the class-name bytes of a frame, each added on the first
+#: decode of its class.
+_DECODE_PLANS: dict[bytes, _ObjectPlan] = {}
 
 
-#: Decode plans keyed by the class-name bytes of the frame, each compiled on
-#: the first decode of its class.
-_DECODE_PLANS: dict[bytes, _DecodePlan] = {}
-
-
-def _decode_plan(raw_name: bytes) -> _DecodePlan:
+def _decode_plan(raw_name: bytes) -> _ObjectPlan:
     name = raw_name.decode()
     cls = _WIRE_TYPES.get(name)
     if cls is None:
         raise MalformedMessageError(f"unknown object wire type {name!r}")
     if not is_dataclass(cls):
         raise MalformedMessageError(f"wire type {name!r} is not a dataclass")
-    encode_plan = _dataclass_plan(cls)
-    if not encode_plan.interned:
-        intern_depth = _NEVER
-    elif hasattr(cls, "attach_auth"):
-        intern_depth = _IN_OBJECT
-    else:
-        intern_depth = _IN_CONTAINER
-    plan = _DecodePlan(
-        cls=cls,
-        name=name,
-        fields=tuple(
-            (fname, header, len(header))
-            for fname, header in zip(encode_plan.names, encode_plan.field_headers)
-        ),
-        memoize=encode_plan.memoize,
-        intern_depth=intern_depth,
-    )
-    _DECODE_PLANS[raw_name] = plan
+    plan = _DECODE_PLANS[raw_name] = _dataclass_plan(cls)
     return plan
 
 
@@ -631,11 +614,8 @@ def _decode_object(
 ) -> tuple[Any, int]:
     """Decode the object frame at ``start`` (its tag byte) through its class's plan.
 
-    Each field must start with its header (one ``startswith``).  A str,
-    bytes or int value that lies wholly inside ``data`` is read inline;
-    anything else -- including every truncated or non-canonical value, so
-    that it fails with the generic reader's error -- goes through
-    :func:`_decode_from`.
+    Each field must start with its header (one ``startswith``); its value
+    is read by :func:`_decode_from`.
     """
     n = len(data)
     pos = start + 5
@@ -670,38 +650,14 @@ def _decode_object(
     # silently normalised into an equal object.  The field count is implied
     # by the class; the body length must be exactly what the fields span.
     values = []
-    for fname, header, header_length in plan.fields:
+    for header in plan.field_headers:
         if not data.startswith(header, pos, end):
+            fname = plan.names[len(values)]
             raise MalformedMessageError(
                 f"object body for {plan.name!r} does not continue with field {fname!r} "
                 "(missing, reordered, duplicate, or cut short)"
             )
-        pos += header_length
-        body = pos + 5
-        if body <= n:
-            tag = data[pos]
-            if tag == 0x53 or tag == 0x42 or tag == 0x49:  # S, B, I
-                stop = body + _unpack_u32(data, pos + 1)[0]
-                if stop <= n:
-                    raw = data[body:stop]
-                    if tag == 0x53:
-                        values.append(raw.decode())
-                        pos = stop
-                        continue
-                    if tag == 0x42:
-                        values.append(raw)
-                        pos = stop
-                        continue
-                    value = int(raw)
-                    if str(value).encode() == raw:
-                        values.append(value)
-                        pos = stop
-                        continue
-            elif tag == 0x4F:  # O
-                value, pos = _decode_object(data, pos, pending, _IN_OBJECT)
-                values.append(value)
-                continue
-        value, pos = _decode_from(data, pos, pending, _IN_OBJECT)
+        value, pos = _decode_from(data, pos + len(header), pending, _IN_OBJECT)
         values.append(value)
     if pos != end:
         raise MalformedMessageError(

@@ -382,7 +382,7 @@ class TestInternTable:
         registry = registered_wire_types()
         for name in codec.INTERNED_WIRE_TYPES:
             cls = registry[name]
-            assert codec._dataclass_plan(cls).interned, name
+            assert codec._dataclass_plan(cls).intern_depth < codec._NEVER, name
 
     def test_nested_values_are_shared_between_decodes(self):
         frame = encode_canonical(_proof(_requests("shared", 2)))
